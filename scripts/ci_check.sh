@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The repo's one-command verification gate.
 #
-#   ./scripts/ci_check.sh          # tier-1 + examples + perf smoke + cache smoke
-#                                  #   + service smoke + coverage
+#   ./scripts/ci_check.sh          # tier-1 + stress reruns + examples + perf smoke
+#                                  #   + cache smoke + service smoke + coverage
 #   ./scripts/ci_check.sh --fast   # everything except the coverage gate
 #
 # Coverage: the floor below is enforced whenever the gate runs.  A missing
@@ -26,6 +26,18 @@ python -m compileall -q src
 echo
 echo "== tier-1 test suite =="
 python -m pytest -x -q
+
+echo
+echo "== concurrency stress tier (distributed + faults, 5 reruns) =="
+# The shard engine's execution paths race worker threads, lease expiry and stall
+# detection; one green run proves little.  Rerun the markers that cover
+# them and fail on the first failing run.
+STRESS_RUNS=5
+for run in $(seq 1 "$STRESS_RUNS"); do
+    echo "-- stress run $run/$STRESS_RUNS --"
+    python -m pytest -q -m "distributed or faults" || {
+        echo "ERROR: stress run $run/$STRESS_RUNS failed" >&2; exit 1; }
+done
 
 echo
 echo "== examples smoke tier =="

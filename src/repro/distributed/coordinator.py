@@ -24,13 +24,23 @@ until when), which have landed.  Workers interact through three verbs —
     A cooperative worker reporting an evaluation error; the shard
     requeues immediately instead of waiting out the deadline.
 
-Accepted shards land in the study table *and* the shared
-:class:`~repro.studies.cache.StudyCache` — the cache stays the single
-store, so a distributed run leaves behind exactly the entries a local
-``run_study`` would, and artifacts are byte-identical regardless of
-topology.  :meth:`drain_inline` completes unclaimed shards in-process,
-which is both the 0-worker execution path and the liveness fallback when
-every worker is gone.
+Each study's shard state lives in one
+:class:`~repro.studies.executor.ShardRun` — the same engine
+``run_study`` runs on — and the coordinator keeps only lease state on
+top of it: the lease table, TTLs, worker slots, scheduler selection,
+payload verification and :class:`CoordinatorStats`.  ``lease`` takes
+from the engine's pending queue, ``push`` verifies and then lands
+through the engine's landing path (table, the shared
+:class:`~repro.studies.cache.StudyCache`, progress), and every requeue —
+lease expiry, ``fail()``, a rejected push — charges the shard's one
+attempt ledger, as do failures in :meth:`ShardCoordinator.drain_inline`,
+the engine's inline loop that is both the 0-worker execution path and
+the liveness fallback when every worker is gone.  A shard fails the
+study on the failure that takes its attempts past ``max_requeues``,
+whichever path charged it.  The cache pre-pass runs once, before the
+study becomes leasable, so a distributed run leaves behind exactly the
+entries a local ``run_study`` would and artifacts are byte-identical
+regardless of topology.
 
 The coordinator never computes shards itself (outside ``drain_inline``)
 and holds no wall-clock state in results: all timing lives in leases and
@@ -39,6 +49,7 @@ stats, outside the artifact.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 import time
@@ -47,21 +58,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import PushRejected, ShardError, ValidationError
-from ..faults import FaultPlan, FaultStats
+from ..exceptions import PushRejected, ValidationError
+from ..faults import FaultPlan
 from ..studies.cache import StudyCache, study_key
-from ..studies.executor import (
-    DEFAULT_SHARD_SIZE,
-    _attempt_shard,
-    _load_shard_tolerant,
-    _store_shard_tolerant,
-    shard_ranges,
-    RetryPolicy,
-)
-from ..studies.results import StudyResults, empty_table, table_dtype
+from ..studies.executor import DEFAULT_SHARD_SIZE, ShardRun
+from ..studies.results import StudyResults, table_dtype
 from ..studies.spec import ScenarioSpec
-from .._rng import spawn_stream
-from ..studies.executor import _BACKOFF_DOMAIN
 from .scheduler import (
     DEFAULT_SCHEDULER,
     Scheduler,
@@ -117,31 +119,12 @@ class _Lease:
 
 @dataclass
 class _Study:
-    spec: ScenarioSpec
-    payload: dict
-    shard_size: int
-    vectorize: bool
+    run: ShardRun          # the shard state: table, queue, ledger
     scheduler: Scheduler
-    ranges: list
     costs: list
-    table: np.ndarray
-    pending: list          # ascending shard indices awaiting dispatch
     progress: "DistProgress | None"
     leased: dict = field(default_factory=dict)    # shard_index -> lease_id
-    done: set = field(default_factory=set)
-    attempts: dict = field(default_factory=dict)  # shard_index -> int
-    errors: dict = field(default_factory=dict)    # shard_index -> [str]
     worker_shards: dict = field(default_factory=dict)  # worker_id -> count
-    event: threading.Event = field(default_factory=threading.Event)
-    error: "ShardError | None" = None
-
-    @property
-    def total(self) -> int:
-        return len(self.ranges)
-
-    @property
-    def complete(self) -> bool:
-        return len(self.done) == self.total
 
 
 class ShardCoordinator:
@@ -162,9 +145,10 @@ class ShardCoordinator:
         Lease lifetime.  An unexpired lease blocks re-dispatch of its
         shard; expiry requeues it with the attempt number bumped.
     max_requeues:
-        Per-shard budget of requeues/failures before the study is
-        declared failed (mirrors ``RetryPolicy.max_attempts`` in spirit:
-        faults must converge, not spin forever).
+        Per-shard budget of failed attempts — lease expiries, ``fail()``
+        reports, rejected pushes and inline-drain failures all charge the
+        same ledger — before the study is declared failed (faults must
+        converge, not spin forever).
     clock:
         Injectable monotonic clock — tests drive lease expiry
         deterministically instead of sleeping.
@@ -219,9 +203,9 @@ class ShardCoordinator:
         in flight is rejected (the caller already dedups identical
         submissions); a *settled* study — complete or failed — is
         replaced, which is how an evicted-then-resubmitted job reruns.
+        The cache pre-pass runs before the study becomes leasable.
         """
         study_id = study_key(spec, shard_size) if study_id is None else study_id
-        ranges = shard_ranges(spec.num_points, shard_size)
         if scheduler is None:
             axis = spec.axis_values("scheduler")
             strategy = get_scheduler(axis[0]) if len(axis) == 1 else self.default_scheduler
@@ -229,50 +213,31 @@ class ShardCoordinator:
             strategy = get_scheduler(scheduler)
         else:
             strategy = scheduler
-        study = _Study(
-            spec=spec,
-            payload=spec.to_dict(),
-            shard_size=int(shard_size),
+        run = ShardRun(
+            spec,
+            shard_size,
+            budget=self.max_requeues,
             vectorize=self.vectorize if vectorize is None else bool(vectorize),
+            cache=self.cache,
+            lock=self._lock,
+        )
+        study = _Study(
+            run=run,
             scheduler=strategy,
-            ranges=ranges,
             costs=shard_costs(spec, shard_size),
-            table=empty_table(spec.num_points),
-            pending=list(range(len(ranges))),
             progress=progress,
         )
+        run.progress = functools.partial(self._landed, study)
+        # Refuse an active duplicate before the pre-pass reports progress;
+        # the check repeats under the lock because the pre-pass does not
+        # hold it.
+        self._check_replaceable(study_id)
+        run.serve_cached()
         with self._lock:
-            existing = self._studies.get(study_id)
-            if existing is not None:
-                if not (existing.complete or existing.error is not None):
-                    raise ValidationError(
-                        f"study {study_id!r} is already registered and active"
-                    )
+            if self._check_replaceable(study_id):
                 self._order.remove(study_id)
             self._studies[study_id] = study
             self._order.append(study_id)
-        # Cache pre-pass outside the lock: landed shards never re-dispatch.
-        if self.cache is not None:
-            faults_stats = FaultStats()  # pre-pass tolerance only; not reported
-            for k, (start, stop) in enumerate(ranges):
-                cached = _load_shard_tolerant(
-                    self.cache, None, faults_stats, spec, study.shard_size, k
-                )
-                if cached is None:
-                    continue
-                with self._lock:
-                    if k in study.done:
-                        continue
-                    study.table[start:stop] = cached
-                    study.done.add(k)
-                    study.pending.remove(k)
-                    self.stats.cache_served_shards += 1
-                    done, total = len(study.done), study.total
-                if progress is not None:
-                    progress(k, True, done, total, None)
-            with self._lock:
-                if study.complete:
-                    study.event.set()
         return study_id
 
     def wait(self, study_id: str, timeout: float | None = None) -> StudyResults:
@@ -282,34 +247,30 @@ class ShardCoordinator:
         arriving (the all-workers-dead case must still converge to a
         requeue, then to a requeue-budget failure or an inline drain).
         """
-        study = self._study(study_id)
+        run = self._study(study_id).run
         deadline = None if timeout is None else self._clock() + timeout
-        while True:
-            if study.event.wait(timeout=0.05):
-                break
+        while not run.settled.wait(timeout=0.05):
             with self._lock:
                 self._expire()
             if deadline is not None and self._clock() > deadline:
                 raise TimeoutError(
                     f"study {study_id} incomplete after {timeout}s "
-                    f"({len(study.done)}/{study.total} shards)"
+                    f"({len(run.done)}/{run.total} shards)"
                 )
-        if study.error is not None:
-            raise study.error
         return self.results(study_id)
 
     def results(self, study_id: str) -> StudyResults:
         """The completed study's results (ValidationError while incomplete)."""
-        study = self._study(study_id)
+        run = self._study(study_id).run
         with self._lock:
-            if study.error is not None:
-                raise study.error
-            if not study.complete:
+            if run.error is not None:
+                raise run.error
+            if len(run.done) < run.total:
                 raise ValidationError(
                     f"study {study_id} is incomplete "
-                    f"({len(study.done)}/{study.total} shards)"
+                    f"({len(run.done)}/{run.total} shards)"
                 )
-            return StudyResults(spec=study.spec, table=study.table.copy())
+            return StudyResults(spec=run.spec, table=run.table.copy())
 
     # ------------------------------------------------------------------ #
     # The worker-facing verbs
@@ -330,20 +291,19 @@ class ShardCoordinator:
             num_slots = len(self._workers)
             for study_id in self._order:
                 study = self._studies[study_id]
-                if study.error is not None or not study.pending:
+                run = study.run
+                if run.error is not None or not run.pending:
                     continue
-                k = study.scheduler.select(
-                    study.pending, slot, num_slots, study.costs
-                )
-                study.pending.remove(k)
-                stolen = preferred_slot(k, study.total, num_slots) != slot
+                k = study.scheduler.select(run.pending, slot, num_slots, study.costs)
+                run.pending.remove(k)
+                stolen = preferred_slot(k, run.total, num_slots) != slot
                 self._lease_seq += 1
                 lease = _Lease(
                     lease_id=f"lease-{self._lease_seq:08d}",
                     study_id=study_id,
                     shard_index=k,
                     worker_id=worker_id,
-                    attempt=study.attempts.get(k, 0),
+                    attempt=run.attempts.get(k, 0),
                     deadline=self._clock() + self.lease_ttl_s,
                 )
                 study.leased[k] = lease.lease_id
@@ -351,18 +311,18 @@ class ShardCoordinator:
                 self.stats.leases_granted += 1
                 if stolen:
                     self.stats.steals += 1
-                start, stop = study.ranges[k]
+                start, stop = run.ranges[k]
                 return {
                     "lease_id": lease.lease_id,
                     "study_id": study_id,
                     "shard_index": k,
                     "start": start,
                     "stop": stop,
-                    "shard_size": study.shard_size,
-                    "vectorize": study.vectorize,
+                    "shard_size": run.shard_size,
+                    "vectorize": run.vectorize,
                     "attempt": lease.attempt,
                     "ttl_s": self.lease_ttl_s,
-                    "spec": study.payload,
+                    "spec": run.payload,
                 }
             return None
 
@@ -377,16 +337,17 @@ class ShardCoordinator:
     ) -> dict:
         """Verify and land one computed shard; idempotent for landed shards."""
         study = self._study(study_id)
+        run = study.run
         with self._lock:
-            if not 0 <= shard_index < study.total:
+            if not 0 <= shard_index < run.total:
                 raise ValidationError(
                     f"shard index {shard_index} out of range for "
-                    f"{study.total} shards"
+                    f"{run.total} shards"
                 )
-            if shard_index in study.done:
+            if shard_index in run.done:
                 self.stats.duplicate_pushes += 1
                 self._release(study, shard_index, lease_id)
-                return self._accepted(study, duplicate=True)
+                return self._accepted(run, duplicate=True)
             actual = hashlib.sha256(data).hexdigest()
             if actual != digest:
                 self._reject(study, shard_index, lease_id)
@@ -395,7 +356,7 @@ class ShardCoordinator:
                     f"shard {shard_index} payload hashes to {actual[:12]}..., "
                     f"push declared {str(digest)[:12]}...; shard requeued",
                 )
-            start, stop = study.ranges[shard_index]
+            start, stop = run.ranges[shard_index]
             expected = (stop - start) * table_dtype().itemsize
             if len(data) != expected:
                 self._reject(study, shard_index, lease_id)
@@ -405,25 +366,10 @@ class ShardCoordinator:
                     f"expected {expected}; shard requeued",
                 )
             shard = np.frombuffer(data, dtype=table_dtype()).copy()
-            study.table[start:stop] = shard
-            study.done.add(shard_index)
+            done = run.place(shard_index, shard)
             self._release(study, shard_index, lease_id)
-            if worker_id:
-                study.worker_shards[worker_id] = (
-                    study.worker_shards.get(worker_id, 0) + 1
-                )
-            done, total = len(study.done), study.total
-            progress = study.progress
-            if study.complete:
-                study.event.set()
-        if self.cache is not None:
-            _store_shard_tolerant(
-                self.cache, None, FaultStats(), study.spec,
-                study.shard_size, shard_index, shard,
-            )
-        if progress is not None:
-            progress(shard_index, False, done, total, worker_id or None)
-        return self._accepted(study, duplicate=False)
+        run.publish(shard_index, shard, done, worker_id)
+        return self._accepted(run, duplicate=False)
 
     def fail(self, lease_id: str, message: str = "worker reported failure") -> None:
         """Cooperative failure report: requeue the lease's shard now."""
@@ -437,78 +383,22 @@ class ShardCoordinator:
     # ------------------------------------------------------------------ #
     # Inline completion (0 workers / liveness fallback)
     # ------------------------------------------------------------------ #
-    def drain_inline(
-        self,
-        study_id: str,
-        faults: FaultPlan | None = None,
-        retry: RetryPolicy | None = None,
-    ) -> None:
+    def drain_inline(self, study_id: str, faults: FaultPlan | None = None) -> None:
         """Complete every still-pending shard in-process.
 
         With no workers attached this *is* the execution path (and lands
-        byte-identical results, since it runs the same ``_run_shard``).
+        byte-identical results, since it is the engine's inline loop).
         With workers attached it races them benignly: landed shards are
-        skipped, duplicates are idempotent.
+        skipped, duplicates are idempotent.  Inline failures are charged
+        to the study's one attempt ledger, without backoff, like every
+        other requeue; the failure that spends the budget fails the study
+        and raises its :class:`~repro.exceptions.ShardError`.
         """
-        study = self._study(study_id)
+        run = self._study(study_id).run
         plan = FaultPlan.from_env() if faults is None else faults
-        plan_payload = plan.to_dict() if plan is not None else None
-        policy = RetryPolicy() if retry is None else retry
-        stats = FaultStats()
-        rngs: dict[int, np.random.Generator] = {}
-        while True:
-            with self._lock:
-                self._expire()
-                if study.error is not None:
-                    raise study.error
-                if not study.pending:
-                    break
-                k = study.pending.pop(0)
-            rngs.setdefault(k, spawn_stream(study.spec.seed, _BACKOFF_DOMAIN, k))
-            shard = _attempt_shard(
-                study.payload, study.ranges, study.shard_size, k,
-                study.vectorize, plan_payload, policy, stats,
-                {k: study.attempts.get(k, 0)},
-                {k: list(study.errors.get(k, []))},
-                rngs,
-            )
-            with self._lock:
-                if k in study.done:
-                    continue
-                start, stop = study.ranges[k]
-                study.table[start:stop] = shard
-                study.done.add(k)
-                self.stats.inline_shards += 1
-                done, total = len(study.done), study.total
-                progress = study.progress
-                if study.complete:
-                    study.event.set()
-            if self.cache is not None:
-                _store_shard_tolerant(
-                    self.cache, None, FaultStats(), study.spec,
-                    study.shard_size, k, shard,
-                )
-            if progress is not None:
-                progress(k, False, done, total, None)
-
-    def run_study(
-        self,
-        spec: ScenarioSpec,
-        shard_size: int = DEFAULT_SHARD_SIZE,
-        timeout: float | None = None,
-        **register_kwargs,
-    ) -> StudyResults:
-        """Register, let attached workers (if any) drain it, and wait.
-
-        With no workers attached this degenerates to an inline run —
-        the 0-worker topology of the byte-identity contract.
-        """
-        study_id = self.register_study(spec, shard_size, **register_kwargs)
         with self._lock:
-            has_workers = bool(self._workers)
-        if not has_workers:
-            self.drain_inline(study_id)
-        return self.wait(study_id, timeout=timeout)
+            self._expire()
+        run.drain(plan.to_dict() if plan is not None else None)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -518,9 +408,7 @@ class ShardCoordinator:
         with self._lock:
             self._expire()
             active = sum(
-                1
-                for s in self._studies.values()
-                if not s.complete and s.error is None
+                1 for s in self._studies.values() if not s.run.settled.is_set()
             )
             return {
                 "workers": len(self._workers),
@@ -545,9 +433,9 @@ class ShardCoordinator:
         study = self._study(study_id)
         with self._lock:
             return {
-                "done": len(study.done),
-                "total": study.total,
-                "pending": len(study.pending),
+                "done": len(study.run.done),
+                "total": study.run.total,
+                "pending": len(study.run.pending),
                 "leased": len(study.leased),
                 "workers": dict(study.worker_shards),
             }
@@ -562,12 +450,42 @@ class ShardCoordinator:
             except KeyError:
                 raise ValidationError(f"unknown study {study_id!r}") from None
 
-    def _accepted(self, study: _Study, duplicate: bool) -> dict:
+    def _check_replaceable(self, study_id: str) -> bool:
+        """Whether ``study_id`` is registered; raises while it is active."""
+        with self._lock:
+            existing = self._studies.get(study_id)
+            if existing is not None and not existing.run.settled.is_set():
+                raise ValidationError(
+                    f"study {study_id!r} is already registered and active"
+                )
+            return existing is not None
+
+    def _landed(
+        self, study: _Study, k: int, from_cache: bool, done: int, total: int,
+        worker_id: str | None,
+    ) -> None:
+        """Every landing's telemetry, then the study's progress feed.
+
+        ``worker_id`` is None for an inline-drained shard and ``""`` for
+        a push that named no worker (counted nowhere).
+        """
+        with self._lock:
+            if from_cache:
+                self.stats.cache_served_shards += 1
+            elif worker_id is None:
+                self.stats.inline_shards += 1
+            elif worker_id:
+                shards = study.worker_shards
+                shards[worker_id] = shards.get(worker_id, 0) + 1
+        if study.progress is not None:
+            study.progress(k, from_cache, done, total, worker_id or None)
+
+    def _accepted(self, run: ShardRun, duplicate: bool) -> dict:
         return {
             "accepted": True,
             "duplicate": duplicate,
-            "done": len(study.done),
-            "total": study.total,
+            "done": len(run.done),
+            "total": run.total,
         }
 
     def _release(self, study: _Study, shard_index: int, lease_id: str | None) -> None:
@@ -585,44 +503,27 @@ class ShardCoordinator:
         lease = self._leases.pop(held or lease_id or "", None)
         if lease is not None:
             self._requeue(lease, "push rejected by verification")
-        elif shard_index not in study.pending and shard_index not in study.done:
+        elif shard_index not in study.run.pending and shard_index not in study.run.done:
             # No live lease to charge (it already expired, or the push never
             # held one) but the shard is off the queue: re-enqueue through
             # the same attempt accounting, so corrupt pushes consume the
             # requeue budget instead of retrying forever.
             self._requeue_shard(
-                study,
-                shard_index,
-                study.attempts.get(shard_index, 0),
-                "push rejected by verification (no live lease)",
+                study, shard_index, "push rejected by verification (no live lease)"
             )
 
     def _requeue(self, lease: _Lease, reason: str) -> None:
         """Put an abandoned/failed lease's shard back in its study's queue."""
         study = self._studies[lease.study_id]
         study.leased.pop(lease.shard_index, None)
-        if lease.shard_index in study.done:
-            return
-        self._requeue_shard(study, lease.shard_index, lease.attempt, reason)
+        if lease.shard_index not in study.run.done:
+            self._requeue_shard(study, lease.shard_index, reason)
 
-    def _requeue_shard(
-        self, study: _Study, shard_index: int, attempt: int, reason: str
-    ) -> None:
-        """Shared requeue accounting: every path that puts a shard back in
-        the queue — lease expiry, cooperative ``fail()``, push rejection —
-        bumps the ``requeues`` gauge and consumes the requeue budget here."""
+    def _requeue_shard(self, study: _Study, shard_index: int, reason: str) -> None:
+        """Every lease-side requeue — expiry, ``fail()``, push rejection —
+        bumps the ``requeues`` gauge and charges the shard's ledger here."""
         self.stats.requeues += 1
-        attempts = study.attempts.get(shard_index, 0) + 1
-        study.attempts[shard_index] = attempts
-        study.errors.setdefault(shard_index, []).append(
-            f"attempt {attempt}: {reason}"
-        )
-        if attempts > self.max_requeues:
-            study.error = ShardError(shard_index, study.errors[shard_index])
-            study.event.set()
-            return
-        study.pending.append(shard_index)
-        study.pending.sort()
+        study.run.charge(shard_index, reason)
 
     def _expire(self) -> None:
         """Requeue every lease whose deadline has passed."""

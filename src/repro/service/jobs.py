@@ -364,7 +364,10 @@ class JobManager:
             job.transition(JobState.RUNNING)
             self._journal_event("running", job)
 
-        def on_progress(shard_index: int, from_cache: bool, done: int, total: int) -> None:
+        def on_progress(
+            shard_index: int, from_cache: bool, done: int, total: int,
+            worker_id: str | None = None,
+        ) -> None:
             with self._lock:
                 job.shards_done = done
                 job.shards_total = total
@@ -372,10 +375,13 @@ class JobManager:
                     job.shards_from_cache += 1
                 else:
                     self.executed_shards += 1
+                if self.coordinator is not None:
+                    owner = "<cache>" if from_cache else (worker_id or "<coordinator>")
+                    job.worker_shards[owner] = job.worker_shards.get(owner, 0) + 1
 
         try:
             if self.coordinator is not None:
-                results = self._run_distributed(job)
+                results = self._run_distributed(job, on_progress)
             else:
                 results = run_study(
                     job.spec,
@@ -401,33 +407,19 @@ class JobManager:
             self._journal_event("done", job, unix=job.finished_unix)
             self._retire(job)
 
-    def _run_distributed(self, job: Job):
+    def _run_distributed(self, job: Job, on_progress):
         """Execute one job through the shard coordinator.
 
-        Registers the study under the job's content-address id, feeds the
-        coordinator's per-shard progress (worker attribution included)
-        into the job record, and waits.  If the fleet goes quiet — no
-        worker ever attached, or a full lease TTL passes with no lease or
-        landing activity — the remaining shards are drained inline, so a
-        distributed server never hangs a job on an absent fleet; a
-        straggling worker's late duplicates stay idempotent.
+        Registers the study under the job's content-address id with
+        ``on_progress`` (which records worker attribution) as its
+        per-shard feed, and waits.  If the fleet goes quiet — no worker
+        ever attached, or a full lease TTL passes with no lease or
+        landing activity — the pending shards are drained inline, so a
+        distributed server never hangs a job on an absent fleet; a lease
+        still outstanding then expires and is drained on a later slice,
+        and a straggling worker's late duplicates stay idempotent.
         """
         coordinator = self.coordinator
-
-        def on_progress(
-            shard_index: int, from_cache: bool, done: int, total: int,
-            worker_id: str | None,
-        ) -> None:
-            with self._lock:
-                job.shards_done = done
-                job.shards_total = total
-                if from_cache:
-                    job.shards_from_cache += 1
-                else:
-                    self.executed_shards += 1
-                owner = "<cache>" if from_cache else (worker_id or "<coordinator>")
-                job.worker_shards[owner] = job.worker_shards.get(owner, 0) + 1
-
         coordinator.register_study(
             job.spec,
             shard_size=job.shard_size,
@@ -448,7 +440,6 @@ class JobManager:
                 )
                 if health["workers"] == 0 or activity == last_activity:
                     coordinator.drain_inline(job.job_id)
-                    return coordinator.wait(job.job_id, timeout=stall_s)
                 last_activity = activity
 
     def _retire(self, job: Job) -> None:

@@ -42,28 +42,35 @@ results to a cold run.
 
 Fault tolerance
 ---------------
-Shard execution is retried: a failing attempt (an exception from the
-shard body, or a worker process dying under the pool) is re-run up to
-:class:`RetryPolicy` limits with exponential backoff whose jitter is
-drawn from a *dedicated* spawn stream — ``spawn_stream(seed,
-_BACKOFF_DOMAIN, shard_index)`` — so retries never advance the MC
-streams.  A shard that exhausts its budget raises
-:class:`~repro.exceptions.ShardError` carrying the attempt history.
-Cache faults degrade gracefully: a failed load is a miss (the shard is
-recomputed), a failed store is ignored (the shard still lands in the
-table).  When the process pool keeps dying, the executor rebuilds it up
-to ``RetryPolicy.max_pool_restarts`` times, then falls back to running
-the remaining shards in-process.  Everything the resilience layer did is
-reported in :class:`~repro.faults.FaultStats` on the returned results —
-*outside* the canonical artifact, which stays byte-identical with and
-without faults.  Deterministic fault injection for tests and the CI
-chaos smoke comes from :mod:`repro.faults` via ``run_study(faults=)`` or
-the ``REPRO_FAULTS`` environment hook.
+Every shard runs on one engine, :class:`ShardRun`, which keeps the
+study's whole shard state — table, pending queue, done set, and one
+attempt ledger.  Its three execution paths (the inline loop, the process
+pool, and the distributed coordinator's lease verbs) all charge a failed
+attempt through the same :meth:`ShardRun.charge`, so a shard's budget is
+spent the same way whoever ran it: ``run_study`` fails a shard at
+:attr:`RetryPolicy.max_attempts`, a coordinated study past its
+``max_requeues``.  A charged shard goes back in the queue; ``run_study``
+retries it after an exponential backoff whose jitter is drawn from a
+*dedicated* spawn stream — ``spawn_stream(seed, _BACKOFF_DOMAIN,
+shard_index)`` — so retries never advance the MC streams.  A shard that
+exhausts its budget raises :class:`~repro.exceptions.ShardError`
+carrying the attempt history.  Cache faults degrade gracefully: a failed
+load is a miss (the shard is recomputed), a failed store is ignored (the
+shard still lands in the table).  When the process pool keeps dying, the
+executor rebuilds it up to ``RetryPolicy.max_pool_restarts`` times, then
+falls back to the inline loop for the remaining shards.  Everything the
+resilience layer did is reported in :class:`~repro.faults.FaultStats` on
+the returned results — *outside* the canonical artifact, which stays
+byte-identical with and without faults.  Deterministic fault injection
+for tests and the CI chaos smoke comes from :mod:`repro.faults` via
+``run_study(faults=)`` or the ``REPRO_FAULTS`` environment hook.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
+import threading
 import time
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -96,6 +103,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
 
 __all__ = [
     "run_study",
+    "ShardRun",
     "shard_ranges",
     "DEFAULT_SHARD_SIZE",
     "ProgressCallback",
@@ -286,98 +294,229 @@ def _run_shard(
     return out
 
 
-def _load_shard_tolerant(
-    cache: "StudyCache",
-    plan: FaultPlan | None,
-    stats: FaultStats,
-    spec: ScenarioSpec,
-    shard_size: int,
-    k: int,
-) -> np.ndarray | None:
-    """Cache load that degrades every failure mode to a miss."""
-    if plan is not None:
-        rule = plan.fires_counted(SITE_CACHE_READ, key=k)
-        if rule is not None:
-            stats.cache_read_faults += 1
-            if rule.effect == "corrupt":
-                # Tear the stored entry; the real loader must detect and miss.
-                path = cache.shard_path(cache.shard_key(spec, shard_size, k))
-                try:
-                    if path.exists():
-                        path.write_bytes(path.read_bytes()[:7])
-                except OSError:  # pragma: no cover - injected tear failed; still a miss
-                    pass
-            else:
-                return None  # simulated unreadable entry
-    try:
-        return cache.load_shard(spec, shard_size, k)
-    except OSError:  # pragma: no cover - defensive: a broken store is a miss
-        stats.cache_read_faults += 1
-        return None
+class ShardRun:
+    """One study's shard state, and the engine every execution path runs on.
 
+    It owns the results table, the pending queue (in ``order``, default
+    ascending), the done set, each shard's attempt count and error
+    history, the seeded backoff streams, :class:`FaultStats`, the cache
+    pre-pass (:meth:`serve_cached`) and the landing path (:meth:`land`:
+    table write, then the tolerant cache store, then progress).  Three
+    execution paths use it and nothing else: the inline loop (:meth:`drain`), the
+    process pool (:func:`_run_pool`) and the coordinator's lease verbs.
 
-def _store_shard_tolerant(
-    cache: "StudyCache",
-    plan: FaultPlan | None,
-    stats: FaultStats,
-    spec: ScenarioSpec,
-    shard_size: int,
-    k: int,
-    shard: np.ndarray,
-) -> None:
-    """Cache store that never lets a cache failure lose computed results."""
-    if plan is not None:
-        rule = plan.fires_counted(SITE_CACHE_WRITE, key=k)
-        if rule is not None:
-            stats.cache_write_faults += 1
-            if rule.effect == "corrupt":
-                path = cache.store_shard(spec, shard_size, k, shard)
-                try:
-                    path.write_bytes(path.read_bytes()[:7])
-                except OSError:  # pragma: no cover - tear failed; entry stays valid
-                    pass
-            return  # simulated failed write: the entry never lands
-    try:
-        cache.store_shard(spec, shard_size, k, shard)
-    except OSError:
-        stats.cache_write_faults += 1
+    ``budget`` is the number of failed attempts a shard may absorb; the
+    failure that takes its attempts past it fails the run (see
+    :meth:`charge`).  ``progress(k, from_cache, done, total, worker_id)``
+    is called once per landed shard; ``lock`` guards the queue, the done
+    set and the ledger (a coordinator passes its own).
+    """
 
-
-def _attempt_shard(
-    payload: dict,
-    ranges: list[tuple[int, int]],
-    shard_size: int,
-    k: int,
-    vectorize: bool,
-    plan_payload: dict | None,
-    policy: RetryPolicy,
-    stats: FaultStats,
-    attempts: dict[int, int],
-    errors: dict[int, list[str]],
-    rngs: dict[int, np.random.Generator],
-) -> np.ndarray:
-    """Run shard ``k`` inline under the retry policy, resuming its history."""
-    start, stop = ranges[k]
-    while True:
-        n = attempts[k]
-        try:
-            shard = _run_shard(
-                payload, k, start, stop, shard_size, vectorize, plan_payload, n, False
+    def __init__(
+        self,
+        spec: ScenarioSpec,
+        shard_size: int,
+        budget: int,
+        vectorize: bool = True,
+        order: Sequence[int] | None = None,
+        cache: "StudyCache | None" = None,
+        plan: FaultPlan | None = None,
+        policy: RetryPolicy | None = None,
+        progress: Callable[[int, bool, int, int, "str | None"], None] | None = None,
+        lock: threading.RLock | None = None,
+    ) -> None:
+        self.spec = spec
+        self.payload = spec.to_dict()
+        self.shard_size = int(shard_size)
+        self.ranges = shard_ranges(spec.num_points, self.shard_size)
+        self.pending = list(range(self.total)) if order is None else list(order)
+        if sorted(self.pending) != list(range(self.total)):
+            raise ValidationError(
+                f"shard_order must be a permutation of range({self.total})"
             )
-        except Exception as exc:
-            errors[k].append(f"attempt {n}: {exc!r}")
-            stats.shard_failures += 1
-            attempts[k] = n + 1
-            if attempts[k] >= policy.max_attempts:
-                raise ShardError(k, errors[k]) from exc
-            stats.shard_retries += 1
-            delay = policy.delay(rngs[k], n)
-            if delay > 0.0:
-                time.sleep(delay)
-        else:
-            if errors[k]:
-                stats.recovered_shards += 1
-            return shard
+        self._rank = {k: i for i, k in enumerate(self.pending)}
+        self.budget = budget
+        self.vectorize = vectorize
+        self.cache = cache
+        self.plan = plan
+        self.policy = policy
+        self.progress = progress
+        self.lock = threading.RLock() if lock is None else lock
+        self.table = empty_table(spec.num_points)
+        self.done: set[int] = set()
+        self.attempts: dict[int, int] = {}
+        self.errors: dict[int, list[str]] = {}
+        self.stats = FaultStats()
+        self.error: ShardError | None = None
+        #: Set once the run has failed, or once every shard has landed and
+        #: its landing has been published — so whoever wakes on it never
+        #: sees a complete run whose progress feed is still behind.
+        self.settled = threading.Event()
+        self._published = 0
+        self._rngs: dict[int, np.random.Generator] = {}
+
+    @property
+    def total(self) -> int:
+        return len(self.ranges)
+
+    def shard_args(self, k: int, faults: dict | None, in_worker: bool) -> tuple:
+        """``_run_shard`` arguments for shard ``k`` at its current attempt."""
+        start, stop = self.ranges[k]
+        return (
+            self.payload, k, start, stop, self.shard_size, self.vectorize,
+            faults, self.attempts.get(k, 0), in_worker,
+        )
+
+    def take(self) -> int | None:
+        """Pop the head of the pending queue (None when empty or failed)."""
+        with self.lock:
+            if self.error is not None or not self.pending:
+                return None
+            return self.pending.pop(0)
+
+    def charge(self, k: int, reason: str) -> bool:
+        """Charge one failed attempt to shard ``k``; False once it is failed.
+
+        The only place a shard's attempt count moves.  Within budget the
+        shard goes back in the pending queue at its place in the run's
+        order (for the inline loop, that is the head: it retries next);
+        past it the run fails with a :class:`ShardError` carrying the
+        shard's whole history and :attr:`settled` is set.
+        """
+        with self.lock:
+            n = self.attempts.get(k, 0)
+            history = self.errors.setdefault(k, [])
+            history.append(f"attempt {n}: {reason}")
+            self.attempts[k] = n + 1
+            self.stats.shard_failures += 1
+            if n + 1 > self.budget:
+                self.error = ShardError(k, history)
+                self.settled.set()
+                return False
+            self.stats.shard_retries += 1
+            bisect.insort(self.pending, k, key=self._rank.__getitem__)
+            return True
+
+    def backoff(self, k: int) -> float:
+        """Backoff before shard ``k``'s next attempt, from its own stream."""
+        if self.policy is None:
+            return 0.0
+        if k not in self._rngs:
+            self._rngs[k] = spawn_stream(self.spec.seed, _BACKOFF_DOMAIN, k)
+        return self.policy.delay(self._rngs[k], self.attempts[k] - 1)
+
+    def place(self, k: int, shard: np.ndarray) -> int | None:
+        """Write shard ``k`` into the table; the new done count, or None
+        when it had already landed (the first landing wins)."""
+        with self.lock:
+            if k in self.done:
+                return None
+            start, stop = self.ranges[k]
+            self.table[start:stop] = shard
+            self.done.add(k)
+            if k in self.errors:
+                self.stats.recovered_shards += 1
+            return len(self.done)
+
+    def publish(
+        self, k: int, shard: np.ndarray, done: int, worker_id: str | None = None
+    ) -> None:
+        """The landing tail, outside any lock: cache store, then progress."""
+        if self.cache is not None:
+            self._store(k, shard)
+        if self.progress is not None:
+            self.progress(k, False, done, self.total, worker_id)
+        self._count_published()
+
+    def land(self, k: int, shard: np.ndarray) -> None:
+        done = self.place(k, shard)
+        if done is not None:
+            self.publish(k, shard, done)
+
+    def serve_cached(self) -> None:
+        """The cache pre-pass: land every stored shard, leave the rest pending."""
+        if self.cache is None:
+            return
+        missing = []
+        for k in self.pending:
+            cached = self._load(k)
+            if cached is None:
+                missing.append(k)
+                continue
+            done = self.place(k, cached)
+            if self.progress is not None:
+                self.progress(k, True, done, self.total, None)
+            self._count_published()
+        self.pending = missing
+
+    def drain(self, faults: dict | None) -> None:
+        """The inline loop: run pending shards in-process until none is left.
+
+        A failure is charged and backed off; the shard retries when the
+        queue brings it round again.  Raises the run's :class:`ShardError`
+        once it has failed.
+        """
+        while (k := self.take()) is not None:
+            try:
+                shard = _run_shard(*self.shard_args(k, faults, False))
+            except Exception as exc:
+                if not self.charge(k, repr(exc)):
+                    raise self.error from exc
+                delay = self.backoff(k)
+                if delay > 0.0:
+                    time.sleep(delay)
+            else:
+                self.land(k, shard)
+        if self.error is not None:
+            raise self.error
+
+    def _count_published(self) -> None:
+        with self.lock:
+            self._published += 1
+            if self._published == self.total:
+                self.settled.set()
+
+    def _load(self, k: int) -> np.ndarray | None:
+        """Cache load that degrades every failure mode to a miss."""
+        if self.plan is not None:
+            rule = self.plan.fires_counted(SITE_CACHE_READ, key=k)
+            if rule is not None:
+                self.stats.cache_read_faults += 1
+                if rule.effect == "corrupt":
+                    # Tear the stored entry; the real loader must detect and miss.
+                    path = self.cache.shard_path(
+                        self.cache.shard_key(self.spec, self.shard_size, k)
+                    )
+                    try:
+                        if path.exists():
+                            path.write_bytes(path.read_bytes()[:7])
+                    except OSError:  # pragma: no cover - injected tear failed; still a miss
+                        pass
+                else:
+                    return None  # simulated unreadable entry
+        try:
+            return self.cache.load_shard(self.spec, self.shard_size, k)
+        except OSError:  # pragma: no cover - defensive: a broken store is a miss
+            self.stats.cache_read_faults += 1
+            return None
+
+    def _store(self, k: int, shard: np.ndarray) -> None:
+        """Cache store that never lets a cache failure lose computed results."""
+        if self.plan is not None:
+            rule = self.plan.fires_counted(SITE_CACHE_WRITE, key=k)
+            if rule is not None:
+                self.stats.cache_write_faults += 1
+                if rule.effect == "corrupt":
+                    path = self.cache.store_shard(self.spec, self.shard_size, k, shard)
+                    try:
+                        path.write_bytes(path.read_bytes()[:7])
+                    except OSError:  # pragma: no cover - tear failed; entry stays valid
+                        pass
+                return  # simulated failed write: the entry never lands
+        try:
+            self.cache.store_shard(self.spec, self.shard_size, k, shard)
+        except OSError:
+            self.stats.cache_write_faults += 1
 
 
 def run_study(
@@ -431,119 +570,57 @@ def run_study(
         raise ValidationError(f"workers must be >= 1, got {workers}")
     plan = FaultPlan.from_env() if faults is None else faults
     policy = RetryPolicy() if retry is None else retry
-    stats = FaultStats()
-    ranges = shard_ranges(spec.num_points, shard_size)
-    order = list(range(len(ranges))) if shard_order is None else list(shard_order)
-    if sorted(order) != list(range(len(ranges))):
-        raise ValidationError(
-            f"shard_order must be a permutation of range({len(ranges)})"
-        )
-
-    payload = spec.to_dict()
+    run = ShardRun(
+        spec,
+        shard_size,
+        budget=policy.max_attempts - 1,
+        vectorize=vectorize,
+        order=shard_order,
+        cache=cache,
+        plan=plan,
+        policy=policy,
+        progress=None if progress is None else (
+            lambda k, cached, done, total, _worker: progress(k, cached, done, total)
+        ),
+    )
+    run.serve_cached()
     plan_payload = plan.to_dict() if plan is not None else None
-    table = empty_table(spec.num_points)
-
-    done = 0
-    total = len(ranges)
-    pending: list[int] = []
-    for k in order:
-        if cache is not None:
-            start, stop = ranges[k]
-            cached = _load_shard_tolerant(cache, plan, stats, spec, shard_size, k)
-            if cached is not None:
-                table[start:stop] = cached
-                done += 1
-                if progress is not None:
-                    progress(k, True, done, total)
-                continue
-        pending.append(k)
-
-    attempts = {k: 0 for k in pending}
-    errors: dict[int, list[str]] = {k: [] for k in pending}
-    rngs = {k: spawn_stream(spec.seed, _BACKOFF_DOMAIN, k) for k in pending}
-
-    def land(k: int, shard: np.ndarray) -> None:
-        nonlocal done
-        start, stop = ranges[k]
-        table[start:stop] = shard
-        if cache is not None:
-            _store_shard_tolerant(cache, plan, stats, spec, shard_size, k, shard)
-        done += 1
-        if progress is not None:
-            progress(k, False, done, total)
-
-    if workers == 1 or len(pending) <= 1:
-        for k in pending:
-            land(
-                k,
-                _attempt_shard(
-                    payload, ranges, shard_size, k, vectorize, plan_payload,
-                    policy, stats, attempts, errors, rngs,
-                ),
-            )
+    if workers == 1 or len(run.pending) <= 1:
+        run.drain(plan_payload)
     else:
-        _run_pool(
-            payload, ranges, shard_size, pending, workers, vectorize, plan_payload,
-            policy, stats, attempts, errors, rngs, land,
-        )
-    return StudyResults(spec=spec, table=table, fault_stats=stats)
+        _run_pool(run, workers, plan_payload)
+    return StudyResults(spec=spec, table=run.table, fault_stats=run.stats)
 
 
-def _run_pool(
-    payload: dict,
-    ranges: list[tuple[int, int]],
-    shard_size: int,
-    pending: list[int],
-    workers: int,
-    vectorize: bool,
-    plan_payload: dict | None,
-    policy: RetryPolicy,
-    stats: FaultStats,
-    attempts: dict[int, int],
-    errors: dict[int, list[str]],
-    rngs: dict[int, np.random.Generator],
-    land: Callable[[int, np.ndarray], None],
-) -> None:
-    """Pool execution with per-shard retry and worker-death recovery.
+def _run_pool(run: ShardRun, workers: int, faults: dict | None) -> None:
+    """The process-pool execution path, with worker-death recovery.
 
-    Each round submits the remaining shards (with their parent-owned
-    attempt numbers) to a fresh pool.  A per-shard exception schedules a
-    retry; a dying worker breaks the pool, in which case every shard that
-    was in flight is charged one attempt (the culprit cannot be told
-    apart from its victims) and the pool is rebuilt — up to
-    ``policy.max_pool_restarts`` times, after which the remaining shards
-    run in-process (the degraded path).
+    Each round submits the pending shards (with their run-owned attempt
+    numbers) to a fresh pool.  A dying worker breaks the pool, in which
+    case every shard that was in flight is charged one attempt (the
+    culprit cannot be told apart from its victims) and the pool is
+    rebuilt — up to ``max_pool_restarts`` times, after which the
+    remaining shards run inline (the degraded path).
     """
-    remaining = list(pending)
     pool_restarts = 0
-    while remaining:
-        if pool_restarts > policy.max_pool_restarts:
-            stats.degraded_inline_shards += len(remaining)
-            for k in remaining:
-                land(
-                    k,
-                    _attempt_shard(
-                        payload, ranges, shard_size, k, vectorize, plan_payload,
-                        policy, stats, attempts, errors, rngs,
-                    ),
-                )
+    while run.pending:
+        if pool_restarts > run.policy.max_pool_restarts:
+            run.stats.degraded_inline_shards += len(run.pending)
+            run.drain(faults)
             return
 
         broken = False
         died: list[int] = []
-        retry_next: list[int] = []
-        unsubmitted: list[int] = []
-        with ProcessPoolExecutor(max_workers=min(workers, len(remaining))) as pool:
+        retried: list[int] = []
+        with ProcessPoolExecutor(max_workers=min(workers, len(run.pending))) as pool:
             futures: dict[int, object] = {}
             try:
-                for k in remaining:
-                    futures[k] = pool.submit(
-                        _run_shard, payload, k, ranges[k][0], ranges[k][1],
-                        shard_size, vectorize, plan_payload, attempts[k], True,
-                    )
+                for k in list(run.pending):
+                    args = run.shard_args(k, faults, True)
+                    futures[k] = pool.submit(_run_shard, *args)
+                    run.pending.remove(k)
             except BrokenProcessPool:
-                broken = True
-                unsubmitted = [k for k in remaining if k not in futures]
+                broken = True  # the unsubmitted shards stay pending
             for k, future in futures.items():
                 try:
                     shard = future.result()
@@ -551,35 +628,24 @@ def _run_pool(
                     broken = True
                     died.append(k)
                 except Exception as exc:
-                    errors[k].append(f"attempt {attempts[k]}: {exc!r}")
-                    stats.shard_failures += 1
-                    attempts[k] += 1
-                    if attempts[k] >= policy.max_attempts:
-                        raise ShardError(k, errors[k]) from exc
-                    stats.shard_retries += 1
-                    retry_next.append(k)
+                    if not run.charge(k, repr(exc)):
+                        raise run.error from exc
+                    retried.append(k)
                 else:
-                    if errors[k]:
-                        stats.recovered_shards += 1
-                    land(k, shard)
+                    run.land(k, shard)
 
         if broken:
-            stats.worker_deaths += 1
-            stats.pool_restarts += 1
+            run.stats.worker_deaths += 1
+            run.stats.pool_restarts += 1
             pool_restarts += 1
             for k in died:
-                errors[k].append(f"attempt {attempts[k]}: worker process died (broken pool)")
-                stats.shard_failures += 1
-                attempts[k] += 1
-                if attempts[k] >= policy.max_attempts:
-                    raise ShardError(k, errors[k])
-                stats.shard_retries += 1
+                if not run.charge(k, "worker process died (broken pool)"):
+                    raise run.error
+                retried.append(k)
 
         # One backoff sleep per round covering every retried shard; draws
         # advance each shard's dedicated stream deterministically.
-        retried = sorted(retry_next + died)
         if retried:
-            delay = max(policy.delay(rngs[k], attempts[k] - 1) for k in retried)
+            delay = max(run.backoff(k) for k in retried)
             if delay > 0.0:
                 time.sleep(delay)
-        remaining = retried + unsubmitted

@@ -1,6 +1,8 @@
 """The shard coordinator: leases, verification, requeue, and the cache."""
 
 import hashlib
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ pytestmark = pytest.mark.distributed
 
 from repro.distributed import ShardCoordinator
 from repro.exceptions import PushRejected, ShardError, ValidationError
+from repro.faults import SITE_SHARD_EVAL, FaultPlan, FaultRule
 from repro.studies import ScenarioSpec, StudyCache, run_study, study_key
 from repro.studies.executor import _run_shard
 
@@ -156,7 +159,7 @@ class TestRequeueAccounting:
         study = coord._study(sid)
         lease = coord.lease("w0")
         k = lease["shard_index"]
-        data, digest = shard_bytes(SPEC, k, study.ranges, SHARD_SIZE)
+        data, digest = shard_bytes(SPEC, k, study.run.ranges, SHARD_SIZE)
         corrupted = bytes([data[0] ^ 0xFF]) + data[1:]
         with pytest.raises(PushRejected):
             coord.push(
@@ -178,7 +181,7 @@ class TestRequeueAccounting:
             if lease is None:
                 break
             k = lease["shard_index"]
-            data, digest = shard_bytes(SPEC, k, study.ranges, SHARD_SIZE)
+            data, digest = shard_bytes(SPEC, k, study.run.ranges, SHARD_SIZE)
             corrupted = bytes([data[0] ^ 0xFF]) + data[1:]
             with pytest.raises(PushRejected):
                 coord.push(
@@ -202,16 +205,46 @@ class TestRequeueAccounting:
         study = coord._study(sid)
         lease = coord.lease("w0")
         k = lease["shard_index"]
-        data, digest = shard_bytes(SPEC, k, study.ranges, SHARD_SIZE)
+        data, digest = shard_bytes(SPEC, k, study.run.ranges, SHARD_SIZE)
         corrupted = bytes([data[0] ^ 0xFF]) + data[1:]
         with pytest.raises(PushRejected):
             coord.push(sid, k, corrupted, digest, worker_id="w1")
         assert coord.stats.requeues == 1
-        assert study.attempts[k] == 1
+        assert study.run.attempts[k] == 1
         # The shard is back in the queue with its attempt bumped.
         again = coord.lease("w0")
         assert again["shard_index"] == k
         assert again["attempt"] == 1
+
+
+    def test_inline_drain_failures_share_the_requeue_budget(self):
+        # Two remote failures and the inline ones spend one budget: the
+        # failure that takes the shard past max_requeues fails the study,
+        # which then settles instead of staying active forever.
+        coord = ShardCoordinator(max_requeues=10)  # real clock: no expiry
+        sid = coord.register_study(SPEC, shard_size=SHARD_SIZE)
+        lease = coord.lease("w0")
+        k = lease["shard_index"]
+        coord.fail(lease["lease_id"], "remote evaluation failed")
+        lease = coord.lease("w0")
+        assert lease["shard_index"] == k
+        coord.fail(lease["lease_id"], "remote evaluation failed")
+        plan = FaultPlan([FaultRule(site=SITE_SHARD_EVAL, keys=(k,), times=1000)])
+        with pytest.raises(ShardError) as excinfo:
+            coord.drain_inline(sid, faults=plan)
+        err = excinfo.value
+        assert err.shard_index == k
+        assert len(err.attempts) == coord.max_requeues + 1
+        assert sum("remote evaluation failed" in a for a in err.attempts) == 2
+        assert sum("shard-eval" in a for a in err.attempts) == coord.max_requeues - 1
+        started = time.monotonic()
+        with pytest.raises(ShardError) as waited:
+            coord.wait(sid, timeout=5.0)
+        assert waited.value is err
+        assert time.monotonic() - started < 1.0
+        assert coord.health()["studies_active"] == 0
+        assert coord.register_study(SPEC, shard_size=SHARD_SIZE) == sid
+        assert coord.progress_snapshot(sid)["done"] == 0
 
 
 class TestPushVerification:
@@ -223,7 +256,7 @@ class TestPushVerification:
     def test_verified_push_lands(self):
         lease = self.coord.lease("w0")
         k = lease["shard_index"]
-        data, digest = shard_bytes(SPEC, k, self.study.ranges, SHARD_SIZE)
+        data, digest = shard_bytes(SPEC, k, self.study.run.ranges, SHARD_SIZE)
         out = self.coord.push(
             self.sid, k, data, digest, worker_id="w0", lease_id=lease["lease_id"]
         )
@@ -233,12 +266,12 @@ class TestPushVerification:
     def test_duplicate_push_is_idempotent_accept(self):
         lease = self.coord.lease("w0")
         k = lease["shard_index"]
-        data, digest = shard_bytes(SPEC, k, self.study.ranges, SHARD_SIZE)
+        data, digest = shard_bytes(SPEC, k, self.study.run.ranges, SHARD_SIZE)
         self.coord.push(self.sid, k, data, digest, worker_id="w0")
-        before = bytes(self.study.table)
+        before = bytes(self.study.run.table)
         out = self.coord.push(self.sid, k, data, digest, worker_id="w1")
         assert out["accepted"] and out["duplicate"]
-        assert bytes(self.study.table) == before  # first landing wins
+        assert bytes(self.study.run.table) == before  # first landing wins
         assert self.coord.stats.duplicate_pushes == 1
         # The late pusher gets no attribution: the shard landed once.
         assert self.coord.worker_shards(self.sid) == {"w0": 1}
@@ -246,7 +279,7 @@ class TestPushVerification:
     def test_hash_mismatch_rejected_and_requeued(self):
         lease = self.coord.lease("w0")
         k = lease["shard_index"]
-        data, _ = shard_bytes(SPEC, k, self.study.ranges, SHARD_SIZE)
+        data, _ = shard_bytes(SPEC, k, self.study.run.ranges, SHARD_SIZE)
         with pytest.raises(PushRejected, match="hash") as excinfo:
             self.coord.push(
                 self.sid, k, data, "0" * 64,
@@ -262,7 +295,7 @@ class TestPushVerification:
     def test_corrupted_payload_rejected(self):
         lease = self.coord.lease("w0")
         k = lease["shard_index"]
-        data, digest = shard_bytes(SPEC, k, self.study.ranges, SHARD_SIZE)
+        data, digest = shard_bytes(SPEC, k, self.study.run.ranges, SHARD_SIZE)
         corrupted = bytes([data[0] ^ 0xFF]) + data[1:]
         with pytest.raises(PushRejected, match="hash"):
             self.coord.push(self.sid, k, corrupted, digest)
@@ -270,7 +303,7 @@ class TestPushVerification:
     def test_wrong_size_rejected(self):
         lease = self.coord.lease("w0")
         k = lease["shard_index"]
-        data, _ = shard_bytes(SPEC, k, self.study.ranges, SHARD_SIZE)
+        data, _ = shard_bytes(SPEC, k, self.study.run.ranges, SHARD_SIZE)
         short = data[:-8]
         digest = hashlib.sha256(short).hexdigest()
         with pytest.raises(PushRejected, match="bytes") as excinfo:
@@ -297,12 +330,6 @@ class TestInlineAndCache:
         assert coord.results(sid).table.tobytes() == local.table.tobytes()
         assert coord.stats.inline_shards == 4
 
-    def test_run_study_with_no_workers_is_the_inline_path(self):
-        coord = make()
-        results = coord.run_study(SPEC, shard_size=SHARD_SIZE, timeout=30.0)
-        local = run_study(SPEC, shard_size=SHARD_SIZE)
-        assert results.artifact_bytes() == local.artifact_bytes()
-
     def test_registration_pre_pass_serves_cached_shards(self, tmp_path):
         cache = StudyCache(tmp_path / "cache")
         run_study(SPEC, shard_size=SHARD_SIZE, cache=cache)  # warm it
@@ -320,7 +347,7 @@ class TestInlineAndCache:
         study = coord._study(sid)
         while (lease := coord.lease("w0")) is not None:
             k = lease["shard_index"]
-            data, digest = shard_bytes(SPEC, k, study.ranges, SHARD_SIZE)
+            data, digest = shard_bytes(SPEC, k, study.run.ranges, SHARD_SIZE)
             coord.push(sid, k, data, digest, worker_id="w0")
         coord.wait(sid, timeout=5.0)
         # A local run over the same cache now re-serves every shard.
@@ -340,12 +367,43 @@ class TestInlineAndCache:
         study = coord._study(sid)
         lease = coord.lease("w7")
         k = lease["shard_index"]
-        data, digest = shard_bytes(SPEC, k, study.ranges, SHARD_SIZE)
+        data, digest = shard_bytes(SPEC, k, study.run.ranges, SHARD_SIZE)
         coord.push(sid, k, data, digest, worker_id="w7", lease_id=lease["lease_id"])
         coord.drain_inline(sid)
         assert len(events) == 4
         assert events[0] == (k, False, 1, 4, "w7")
         assert all(wid is None for _, _, _, _, wid in events[1:])  # inline
+
+    def test_study_settles_only_after_its_last_landing_is_published(self):
+        # A job reads its progress record once wait() returns, so the study
+        # must not settle while the final shard's progress is still running.
+        entered, release = threading.Event(), threading.Event()
+
+        def progress(k, cached, done, total, wid):
+            if done == total:
+                entered.set()
+                release.wait(10.0)
+
+        coord = make()
+        sid = coord.register_study(SPEC, shard_size=SHARD_SIZE, progress=progress)
+        study = coord._study(sid)
+        for k in range(3):
+            data, digest = shard_bytes(SPEC, k, study.run.ranges, SHARD_SIZE)
+            coord.push(sid, k, data, digest, worker_id="w0")
+        data, digest = shard_bytes(SPEC, 3, study.run.ranges, SHARD_SIZE)
+        pusher = threading.Thread(
+            target=coord.push, args=(sid, 3, data, digest), kwargs={"worker_id": "w0"}
+        )
+        pusher.start()
+        try:
+            assert entered.wait(10.0)
+            assert coord.health()["studies_active"] == 1
+        finally:
+            release.set()
+            pusher.join(10.0)
+        assert not pusher.is_alive()
+        assert coord.wait(sid, timeout=5.0).num_points == SPEC.num_points
+        assert coord.worker_shards(sid) == {"w0": 4}
 
     def test_health_reports_fleet_and_dispatch_state(self):
         coord = make()

@@ -74,6 +74,17 @@ def wait_done(server, job_id, timeout=60.0):
         time.sleep(0.02)
 
 
+def wait_for_workers(server, count, timeout=30.0):
+    """Block until ``/healthz`` reports ``count`` attached workers."""
+    deadline = time.monotonic() + timeout
+    while True:
+        _, _, body = request(server, "GET", "/healthz")
+        if json.loads(body)["distributed"]["workers"] >= count:
+            return
+        assert time.monotonic() < deadline, "workers never attached"
+        time.sleep(0.01)
+
+
 @pytest.fixture()
 def server(tmp_path):
     with StudyServer(
@@ -127,6 +138,10 @@ def test_distributed_job_is_byte_identical_to_local(server):
     ).artifact_bytes()
     workers, join = attach_workers(server, 2)
     try:
+        # Submit only once both workers have pulled: a fleet that has not
+        # attached by the first stall check would be bypassed by the
+        # inline drain, which attributes shards to "<coordinator>".
+        wait_for_workers(server, 2)
         status, _, body = request(server, "POST", "/studies", SPEC_PAYLOAD)
         assert status == 202
         job_id = json.loads(body)["job_id"]

@@ -7,6 +7,7 @@ any fleet size, with any scheduling strategy, through any injected fault
 local ProcessPool run byte for byte.
 """
 
+import sys
 import threading
 
 import pytest
@@ -126,6 +127,41 @@ class TestTopologyByteIdentity:
         assert sum(w.stats.shards_completed for w in workers) == 8
 
 
+    def test_inline_drain_racing_workers_lands_each_shard_once(self, reference_bytes):
+        # drain_inline and the worker threads share one ShardRun.  With more
+        # threads than cores and a tiny switch interval, every shard must
+        # still land exactly once, and the bytes must not move.
+        coord = ShardCoordinator(lease_ttl_s=30.0)
+        sid = coord.register_study(SPEC, shard_size=SHARD_SIZE)
+        stop = threading.Event()
+        workers = [
+            ShardWorker(
+                coord, worker_id=f"w{i}", faults=NO_FAULTS, retry=FAST, poll_s=0.001
+            )
+            for i in range(4)
+        ]
+        threads = [
+            threading.Thread(target=w.run, kwargs={"stop": stop}) for w in workers
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            coord.drain_inline(sid, faults=NO_FAULTS)
+            results = coord.wait(sid, timeout=60.0)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=60.0)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results.artifact_bytes() == reference_bytes
+        health = coord.health()
+        assert health["inline_shards"] + sum(coord.worker_shards(sid).values()) == 8
+        assert health["duplicate_pushes"] == 0
+
+
 class TestFaultedTopologies:
     def test_worker_death_requeues_and_converges(self, reference_bytes):
         # w0 dies on its first shard; its lease expires and a survivor
@@ -165,26 +201,26 @@ class TestFaultedTopologies:
 
     def test_faulted_run_matches_fault_free_run(self, reference_bytes):
         # The distributed entry in the faults determinism suite: a pile of
-        # faults across every new site, still the same bytes.
+        # faults across every new site, still the same bytes.  The keyed
+        # death and eval rules sit in every worker's plan: they fire only
+        # on a shard's first (coordinator-owned) attempt, so each fires
+        # exactly once whichever worker leases the shard.
+        keyed = [
+            FaultRule(site=SITE_WORKER_DEATH, keys=(1, 5), times=1),
+            FaultRule(site=SITE_SHARD_EVAL, keys=(6,), times=1),
+        ]
         plans = {
-            0: FaultPlan(
-                [
-                    FaultRule(site=SITE_WORKER_PULL, times=1),
-                    FaultRule(site=SITE_WORKER_DEATH, keys=(1,), times=1),
-                ]
-            ),
+            0: FaultPlan([FaultRule(site=SITE_WORKER_PULL, times=1), *keyed]),
             1: FaultPlan(
-                [
-                    FaultRule(site=SITE_WORKER_PUSH, keys=(4,), times=2),
-                    FaultRule(site=SITE_SHARD_EVAL, keys=(6,), times=1),
-                ]
+                [FaultRule(site=SITE_WORKER_PUSH, keys=(4,), times=2), *keyed]
             ),
-            2: FaultPlan([FaultRule(site=SITE_WORKER_DEATH, keys=(5,), times=1)]),
+            2: FaultPlan(keyed),
         }
         artifact, coord, _ = run_distributed(3, worker_plans=plans)
         assert artifact == reference_bytes
         health = coord.health()
-        assert health["requeues"] >= 1          # the deaths cost time...
+        assert health["requeues"] >= 3          # two deaths and a failure cost time...
+        assert health["worker_failures"] == 1
         assert health["studies_active"] == 0    # ...but never completion
 
     def test_probabilistic_seeded_plan_is_deterministic(self):
