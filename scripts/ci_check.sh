@@ -5,10 +5,10 @@
 #                                  #   + cache smoke + service smoke + coverage
 #   ./scripts/ci_check.sh --fast   # everything except the coverage gate
 #
-# Coverage: the floor below is enforced whenever the gate runs.  A missing
-# pytest-cov plugin is first *bootstrapped* (`pip install -e ".[test]"`,
-# the extra declared in setup.py); only if that fails too is it a FAILURE.
-# `--fast` is the only way to skip the gate.
+# Coverage: the floor below is enforced whenever the gate runs.  It is
+# measured by scripts/linecov.py, a standard-library pytest plugin (no
+# pytest-cov, no network), so the gate runs in any container that can run
+# the tests.  `--fast` is the only way to skip the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -319,22 +319,8 @@ fi
 
 echo
 echo "== coverage gate (floor: ${COVERAGE_FLOOR}%) =="
-if ! python -c "import pytest_cov" 2>/dev/null; then
-    # Bootstrap the [test] extra instead of failing outright, so the full
-    # coverage + hypothesis gate runs in the reference container (ROADMAP
-    # "coverage gate, image side").  Offline containers without a wheel
-    # source still fail loudly below.
-    echo "pytest-cov missing; bootstrapping the [test] extra ..."
-    python -m pip install -e ".[test]" --no-build-isolation --no-use-pep517 || true
-fi
-if ! python -c "import pytest_cov" 2>/dev/null; then
-    echo "ERROR: pytest-cov is not installed and could not be bootstrapped;" >&2
-    echo "       the coverage gate cannot run.  Install the test extra" >&2
-    echo "       (pip install -e '.[test]') or pass --fast to skip coverage" >&2
-    echo "       explicitly." >&2
-    exit 1
-fi
-python -m pytest -q --cov=repro --cov-report=term --cov-fail-under="${COVERAGE_FLOOR}"
+PYTHONPATH="scripts:$PYTHONPATH" python -m pytest -q -p linecov \
+    --linecov=src/repro --linecov-fail-under="${COVERAGE_FLOOR}"
 
 echo
 echo "ci_check: all gates passed"

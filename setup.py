@@ -7,8 +7,8 @@ enables the legacy editable install path::
     pip install -e . --no-build-isolation --no-use-pep517
 
 The ``[test]`` extra declares what ``scripts/ci_check.sh`` needs to run
-every gate (the coverage gate *fails loudly* when ``pytest-cov`` is
-absent)::
+every gate (its coverage gate is the standard-library plugin
+``scripts/linecov.py``)::
 
     pip install -e ".[test]" --no-build-isolation --no-use-pep517
 """
@@ -33,11 +33,9 @@ setup(
     ],
     extras_require={
         # Everything the full CI gate (scripts/ci_check.sh) exercises:
-        # pytest-cov arms the coverage floor, hypothesis drives the
-        # property-test layer.
+        # hypothesis drives the property-test layer.
         "test": [
             "pytest>=7",
-            "pytest-cov>=4",
             "hypothesis>=6",
         ],
     },

@@ -25,6 +25,7 @@ registry so each backend is held to its declared tolerance against the
 
 from .aspen import AspenBackend
 from .base import (
+    BACKENDS,
     CONTENTION_AXES,
     DEFAULT_BACKEND,
     DEFAULT_OPERATING_POINT,
@@ -45,6 +46,7 @@ from .des import DesBackend
 from .learned import LearnedBackend
 
 __all__ = [
+    "BACKENDS",
     "CONTENTION_AXES",
     "DEFAULT_BACKEND",
     "DEFAULT_OPERATING_POINT",

@@ -13,7 +13,8 @@ the ``lps``/``accuracy``/``success`` axes; machine-constant axes must sit
 at their defaults.  The batched sweep evaluates the LPS-independent
 Stage 2 listing once per config, and Stages 1 and 3 through compiled
 LPS closures (:mod:`repro.aspen.compiler`) — same floats as the
-per-point loop, computed array-at-a-time.
+per-point loop, computed array-at-a-time — and derives the table
+columns through :meth:`~repro.backends.base.SweepColumns.from_stages`.
 """
 
 from __future__ import annotations
@@ -85,39 +86,15 @@ class AspenBackend(PerformanceBackend):
         self.capabilities.check_point(config)
         accuracy = float(config["accuracy"])
         success = float(config["success"])
-        # Stage 2 is independent of LPS: evaluate its listing once for the
-        # whole run (same float as every per-point evaluation would produce).
-        stage2 = self._models.stage2_seconds(accuracy * 100.0, success)
-        reps = required_repetitions(accuracy, success)
         lps_run = np.array([int(n) for n in lps_values], dtype=np.int64)
-        n = lps_run.shape[0]
-        # Stages 1 and 3 go through the compiled LPS closures (tree-walking
-        # fallback inside).  The column math below mirrors the derived
-        # properties of BackendTimings / SweepColumns.from_timings exactly:
-        # same operations, same association, same tie-breaking — so this
-        # path is bit-identical to the per-point evaluate loop.
-        s1 = self._models.stage1_seconds_array(lps_run)
-        s2 = np.full(n, stage2, dtype=np.float64)
-        s3 = self._models.stage3_seconds_array(
-            lps_run, accuracy=accuracy, success=success
-        )
-        total = s1 + s2 + s3
-        quantum_fraction = np.divide(
-            s2, total, out=np.zeros_like(total), where=total > 0
-        )
-        # dict-max tie-breaking favors the earlier stage: stage3 must be
-        # strictly ahead of both, stage2 strictly ahead of stage1.
-        dominant = np.where(
-            s3 > np.maximum(s1, s2),
-            "stage3",
-            np.where(s2 > s1, "stage2", "stage1"),
-        ).astype("U6")
-        return SweepColumns(
-            stage1_s=s1,
-            stage2_s=s2,
-            stage3_s=s3,
-            total_s=total,
-            quantum_fraction=quantum_fraction,
-            dominant_stage=dominant,
-            repetitions=np.full(n, reps, dtype=np.int64),
+        # Stage 2 is independent of LPS: its listing is evaluated once for
+        # the whole run; Stages 1 and 3 go through the compiled LPS closures
+        # (tree-walking fallback inside).
+        return SweepColumns.from_stages(
+            self._models.stage1_seconds_array(lps_run),
+            self._models.stage2_seconds(accuracy * 100.0, success),
+            self._models.stage3_seconds_array(
+                lps_run, accuracy=accuracy, success=success
+            ),
+            required_repetitions(accuracy, success),
         )

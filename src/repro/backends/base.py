@@ -22,11 +22,15 @@ differential test suite can treat "which model implementation" as data:
 ``sweep(config, lps_values)`` must be *bit-identical* to evaluating each
 point through :meth:`~PerformanceBackend.evaluate` — batching is a fast
 path, never a different answer.  The default :meth:`PerformanceBackend.sweep`
-implements exactly that loop; backends override it only to share
-per-config work (the closed forms route through the zero-copy
-``sweep_arrays``, ASPEN evaluates the LPS-independent Stage 2 listing
-once per config).  The study executor's scalar/vectorized determinism
-audit leans on this contract.
+implements exactly that loop (:meth:`SweepColumns.from_timings`, which
+reads the derived columns off :class:`BackendTimings`' scalar
+properties).  Backends override it only to share per-config work — the
+closed-form family routes through the zero-copy ``sweep_arrays``, ASPEN
+evaluates the LPS-independent Stage 2 listing once per config — and
+return through :meth:`SweepColumns.from_stages`, the one vector
+implementation of the derived columns (total, quantum fraction, dominant
+stage).  The study executor's scalar/vectorized determinism audit leans
+on this contract.
 """
 
 from __future__ import annotations
@@ -38,11 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._registry import Registry
 from ..core.machine_params import XEON_E5_2680
 from ..exceptions import ValidationError
 from ..hardware.timing import DW2_TIMING
 
 __all__ = [
+    "BACKENDS",
     "CONTENTION_AXES",
     "DEFAULT_BACKEND",
     "DEFAULT_OPERATING_POINT",
@@ -215,6 +221,41 @@ class SweepColumns:
             repetitions=np.array([t.repetitions for t in timings], dtype=np.int64),
         )
 
+    @classmethod
+    def from_stages(
+        cls,
+        stage1_s: np.ndarray,
+        stage2_s: np.ndarray | float,
+        stage3_s: np.ndarray,
+        repetitions: int,
+    ) -> "SweepColumns":
+        """Columns derived from batched stage totals.
+
+        ``stage2_s`` may be a scalar (Stage 2 is LPS-independent) and is
+        broadcast.  The derived columns follow :class:`BackendTimings`'
+        scalar rule exactly: left-associated total, a quantum fraction of
+        0 for an empty total, and ties won by the earlier stage.
+        """
+        s1 = np.asarray(stage1_s, dtype=np.float64)
+        s2 = np.full(s1.shape, stage2_s, dtype=np.float64)
+        s3 = np.asarray(stage3_s, dtype=np.float64)
+        total = s1 + s2 + s3
+        return cls(
+            stage1_s=s1,
+            stage2_s=s2,
+            stage3_s=s3,
+            total_s=total,
+            quantum_fraction=np.divide(
+                s2, total, out=np.zeros_like(total), where=total > 0
+            ),
+            dominant_stage=np.where(
+                s3 > np.maximum(s1, s2),
+                "stage3",
+                np.where(s2 > s1, "stage2", "stage1"),
+            ).astype("U6"),
+            repetitions=np.full(s1.shape, repetitions, dtype=np.int64),
+        )
+
     def __len__(self) -> int:
         return int(self.stage1_s.shape[0])
 
@@ -255,7 +296,7 @@ class PerformanceBackend(ABC):
 # --------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------- #
-_REGISTRY: dict[str, type[PerformanceBackend]] = {}
+BACKENDS: Registry[type[PerformanceBackend]] = Registry("backend")
 _INSTANCES: dict[str, PerformanceBackend] = {}
 
 
@@ -292,12 +333,9 @@ def register(cls: type[PerformanceBackend] | None = None, *, replace: bool = Fal
             raise ValidationError(
                 f"backend {name!r} must declare a BackendCapabilities descriptor"
             )
-        if name in _REGISTRY and not replace:
-            raise ValidationError(
-                f"backend name {name!r} is already registered "
-                f"(by {_REGISTRY[name].__name__}); pass replace=True to override"
-            )
-        _REGISTRY[name] = cls
+        if replace and name in BACKENDS.names():
+            unregister(name)
+        BACKENDS.add(name, cls)
         _INSTANCES.pop(name, None)
         return cls
 
@@ -308,36 +346,23 @@ def register(cls: type[PerformanceBackend] | None = None, *, replace: bool = Fal
 
 def unregister(name: str) -> None:
     """Remove a registered backend (primarily for tests tearing down fakes)."""
-    if name not in _REGISTRY:
-        raise ValidationError(
-            f"unknown backend {name!r}; registered: {available_backends()}"
-        )
-    del _REGISTRY[name]
+    BACKENDS.remove(name)
     _INSTANCES.pop(name, None)
 
 
 def available_backends() -> tuple[str, ...]:
     """The registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(BACKENDS.names()))
 
 
 def capabilities(name: str) -> BackendCapabilities:
     """The declared capabilities of backend ``name`` (no instantiation)."""
-    return _lookup(name).capabilities
+    return BACKENDS.get(name).capabilities
 
 
 def get(name: str) -> PerformanceBackend:
     """The shared instance of backend ``name`` (constructed once, cached)."""
     instance = _INSTANCES.get(name)
     if instance is None:
-        instance = _INSTANCES[name] = _lookup(name)()
+        instance = _INSTANCES[name] = BACKENDS.get(name)()
     return instance
-
-
-def _lookup(name: str) -> type[PerformanceBackend]:
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        raise ValidationError(
-            f"unknown backend {name!r}; registered: {available_backends()}"
-        )
-    return cls

@@ -1,4 +1,4 @@
-"""A measurement-calibrated realization of the performance model.
+"""A measurement-calibrated member of the closed-form backend family.
 
 Fig. 9(a) compares the Stage-1 prediction against *measured* CMR embedding
 times, "within a factor of 4 … except in the region n < 10, which it
@@ -7,36 +7,27 @@ measured embedding wall-clock seconds (one recorded
 :func:`repro.core.calibration.measure_cmr_timings` run, committed as data
 so every process fits the identical model — live timing would break the
 study engine's byte-identical-artifact invariant) is replayed through
-:func:`repro.core.calibration.calibrate_embed_rate` at import time, and the
-fitted ``embed_rate_scale`` becomes a Stage-1 constant of an otherwise
-closed-form :class:`~repro.core.pipeline.SplitExecutionModel`.
+:func:`repro.core.calibration.calibrate_embed_rate`, and the fitted
+``embed_rate_scale`` becomes a Stage-1 constant of the base model.
 
-Stages 2 and 3 are untouched, so only the Stage-1 embedding term moves —
-by the fitted factor.  The declared envelope is the paper's factor-of-4
-band: ``rtol=3.0`` makes ``|x - ref| <= 3 ref``, i.e. the multiplicative
-range ``[ref / 4, 4 ref]`` for positive predictions, exactly the Fig.-9(a)
+The backend is a :class:`~repro.backends.closed_form.ClosedFormBackend`
+that swaps only that base model; evaluation, the batched sweep and the
+per-config operating constants are the closed-form family's.  Stages 2
+and 3 are untouched, so only the Stage-1 embedding term moves — by the
+fitted factor.  The declared envelope is the paper's factor-of-4 band:
+``rtol=3.0`` makes ``|x - ref| <= 3 ref``, i.e. the multiplicative range
+``[ref / 4, 4 ref]`` for positive predictions, exactly the Fig.-9(a)
 claim.  The registry-parametrized differential suite picks the backend up
 automatically and asserts agreement inside this envelope.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from dataclasses import replace
-
-import numpy as np
-
 from ..core.calibration import calibrate_embed_rate
 from ..core.pipeline import SplitExecutionModel
 from ..core.stage1 import Stage1Model
-from .base import (
-    BackendCapabilities,
-    BackendTimings,
-    PerformanceBackend,
-    SweepColumns,
-    register,
-)
-from .closed_form import _timings
+from .base import BackendCapabilities, register
+from .closed_form import ClosedFormBackend
 
 __all__ = ["CalibratedBackend", "REFERENCE_CMR_TIMINGS_S", "calibrated_stage1"]
 
@@ -67,7 +58,7 @@ def calibrated_stage1() -> Stage1Model:
 
 
 @register
-class CalibratedBackend(PerformanceBackend):
+class CalibratedBackend(ClosedFormBackend):
     """Closed forms with the embedding rate fitted to measured CMR timings."""
 
     name = "calibrated"
@@ -84,44 +75,9 @@ class CalibratedBackend(PerformanceBackend):
     )
 
     def __init__(self) -> None:
-        self._base = SplitExecutionModel(stage1=calibrated_stage1())
+        self.base = SplitExecutionModel(stage1=calibrated_stage1())
 
     @property
     def embed_rate_scale(self) -> float:
         """The replayed fit's Stage-1 constant."""
-        return self._base.stage1.embed_rate_scale
-
-    def _model_for_config(self, config: Mapping) -> SplitExecutionModel:
-        mode = config.get("embedding_mode", "online")
-        if mode == self._base.embedding_mode:
-            return self._base
-        return replace(self._base, embedding_mode=mode)
-
-    def evaluate(self, point: Mapping) -> BackendTimings:
-        self.capabilities.check_point(point)
-        model = self._model_for_config(point)
-        t = model.time_to_solution(
-            int(point["lps"]), float(point["accuracy"]), float(point["success"])
-        )
-        return _timings(self.name, point, t)
-
-    def sweep(self, config: Mapping, lps_values: Iterable[int]) -> SweepColumns:
-        self.capabilities.check_point(config)
-        model = self._model_for_config(config)
-        sweep = model.sweep_arrays(
-            np.asarray(list(lps_values), dtype=np.int64),
-            accuracy=float(config["accuracy"]),
-            success=float(config["success"]),
-        )
-        reps = np.full(len(sweep), sweep.stage2.repetitions, dtype=np.int64)
-        return SweepColumns(
-            stage1_s=sweep.stage1.total,
-            stage2_s=np.broadcast_to(
-                np.float64(sweep.stage2.total), (len(sweep),)
-            ).copy(),
-            stage3_s=sweep.stage3.total,
-            total_s=sweep.total_seconds,
-            quantum_fraction=sweep.quantum_fraction,
-            dominant_stage=sweep.dominant_stage(),
-            repetitions=reps,
-        )
+        return self.base.stage1.embed_rate_scale

@@ -1,4 +1,4 @@
-"""A learning-augmented realization of the performance model.
+"""A learning-augmented member of the closed-form backend family.
 
 Following the learning-augmented analytic-modeling approach (PAPERS.md:
 "Learning-Augmented Performance Model for Tensor Product Factorization in
@@ -10,32 +10,29 @@ reproducibility) is fitted by least squares in log space —
 
     ``alpha_i = exp(mean(log(measured_i / predicted_i)))``
 
-— and predictions are ``alpha_i * closed_form_i``.  Because the training
-rows cover only part of the operating space and the stage constants absorb
-systematic bias, not shape error, the backend declares a *wider* envelope
-(``rtol=4.0``) than the calibrated backend: the fit is expected to track
-the reference well inside the training region but is trusted less when
-extrapolating.  The registry-parametrized differential suite enrolls it
-automatically and asserts agreement inside the declared envelope.
+— and predictions are ``alpha_i * closed_form_i``.  That is exactly the
+closed-form family's per-stage constants, so the backend is a
+:class:`~repro.backends.closed_form.ClosedFormBackend` that only sets
+``stage_constants``.  Because the training rows cover only part of the
+operating space and the stage constants absorb systematic bias, not shape
+error, the backend declares a *wider* envelope (``rtol=4.0``) than the
+calibrated backend: the fit is expected to track the reference well
+inside the training region but is trusted less when extrapolating.  The
+registry-parametrized differential suite enrolls it automatically and
+asserts agreement inside the declared envelope.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 import numpy as np
 
 from ..core.pipeline import SplitExecutionModel
-from ..core.repetition import required_repetitions
 from ..exceptions import ValidationError
-from .base import (
-    BackendCapabilities,
-    BackendTimings,
-    PerformanceBackend,
-    SweepColumns,
-    register,
-)
+from .base import BackendCapabilities, register
+from .closed_form import ClosedFormBackend
 
 __all__ = ["LearnedBackend", "TRAINING_SWEEP_ROWS", "fit_stage_constants"]
 
@@ -100,7 +97,7 @@ def fit_stage_constants(
 
 
 @register
-class LearnedBackend(PerformanceBackend):
+class LearnedBackend(ClosedFormBackend):
     """Closed forms rescaled by per-stage constants fitted to measurements."""
 
     name = "learned"
@@ -117,65 +114,5 @@ class LearnedBackend(PerformanceBackend):
     )
 
     def __init__(self) -> None:
-        self._model = SplitExecutionModel()
-        self._alphas = fit_stage_constants(TRAINING_SWEEP_ROWS, self._model)
-
-    @property
-    def stage_constants(self) -> tuple[float, float, float]:
-        """The fitted ``(alpha1, alpha2, alpha3)`` stage multipliers."""
-        return self._alphas
-
-    def evaluate(self, point: Mapping) -> BackendTimings:
-        self.capabilities.check_point(point)
-        lps = int(point["lps"])
-        accuracy = float(point["accuracy"])
-        success = float(point["success"])
-        t = self._model.time_to_solution(lps, accuracy, success)
-        a1, a2, a3 = self._alphas
-        return BackendTimings(
-            backend=self.name,
-            lps=lps,
-            accuracy=accuracy,
-            success=success,
-            stage1_s=a1 * t.stage1_seconds,
-            stage2_s=a2 * t.stage2_seconds,
-            stage3_s=a3 * t.stage3_seconds,
-            repetitions=required_repetitions(accuracy, success),
-        )
-
-    def sweep(self, config: Mapping, lps_values: Iterable[int]) -> SweepColumns:
-        self.capabilities.check_point(config)
-        accuracy = float(config["accuracy"])
-        success = float(config["success"])
-        a1, a2, a3 = self._alphas
-        sweep = self._model.sweep_arrays(
-            np.asarray(list(lps_values), dtype=np.int64),
-            accuracy=accuracy,
-            success=success,
-        )
-        n = len(sweep)
-        # Elementwise alpha * column is IEEE-identical to the scalar path's
-        # alpha * stage_seconds (sweep_arrays is bit-identical to the scalar
-        # loop); the derived columns below mirror BackendTimings' operation
-        # order exactly, preserving the sweep == evaluate-loop contract.
-        s1 = a1 * sweep.stage1.total
-        s2 = np.full(n, a2 * float(sweep.stage2.total), dtype=np.float64)
-        s3 = a3 * sweep.stage3.total
-        total = s1 + s2 + s3
-        quantum_fraction = np.divide(
-            s2, total, out=np.zeros_like(total), where=total > 0
-        )
-        dominant = np.where(
-            s3 > np.maximum(s1, s2),
-            "stage3",
-            np.where(s2 > s1, "stage2", "stage1"),
-        ).astype("U6")
-        return SweepColumns(
-            stage1_s=s1,
-            stage2_s=s2,
-            stage3_s=s3,
-            total_s=total,
-            quantum_fraction=quantum_fraction,
-            dominant_stage=dominant,
-            repetitions=np.full(n, required_repetitions(accuracy, success), dtype=np.int64),
-        )
+        super().__init__()
+        self.stage_constants = fit_stage_constants(TRAINING_SWEEP_ROWS, self.base)

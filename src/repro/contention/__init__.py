@@ -35,7 +35,6 @@ from .disciplines import (
     DEFAULT_QUEUE_POLICY,
     QUEUE_POLICY_NAMES,
     QueueDiscipline,
-    available_queue_policies,
     get_queue_policy,
 )
 from .simulate import (
@@ -58,7 +57,6 @@ __all__ = [
     "ContentionWorkload",
     "QueueDiscipline",
     "QueuePrediction",
-    "available_queue_policies",
     "contention_columns",
     "get_analytic_model",
     "get_queue_policy",

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from .._registry import Registry
 from ..exceptions import ValidationError
 
 __all__ = [
@@ -145,13 +146,5 @@ ANALYTIC_MODELS: tuple[AnalyticQueueModel, ...] = (
     AnalyticQueueModel(name="md1", service="deterministic", predict=md1_prediction),
 )
 
-
-def get_analytic_model(name: str) -> AnalyticQueueModel:
-    """Look up a registered analytic queueing model by name."""
-    for model in ANALYTIC_MODELS:
-        if model.name == name:
-            return model
-    raise ValidationError(
-        f"unknown analytic model {name!r}; "
-        f"available: {tuple(m.name for m in ANALYTIC_MODELS)}"
-    )
+#: Look up a registered analytic queueing model by name.
+get_analytic_model = Registry("analytic model", ANALYTIC_MODELS).get

@@ -34,20 +34,20 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from ..exceptions import ValidationError
+from .._registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..runtime.des import Waiter
 
 __all__ = [
     "DEFAULT_QUEUE_POLICY",
+    "QUEUE_POLICIES",
     "QUEUE_POLICY_NAMES",
     "ROUND_ROBIN_QUANTA",
     "FifoDiscipline",
     "PriorityBySizeDiscipline",
     "QueueDiscipline",
     "RoundRobinDiscipline",
-    "available_queue_policies",
     "get_queue_policy",
 ]
 
@@ -110,25 +110,13 @@ class RoundRobinDiscipline:
         return 0
 
 
-_DISCIPLINES: dict[str, QueueDiscipline] = {
-    d.name: d
-    for d in (FifoDiscipline(), PriorityBySizeDiscipline(), RoundRobinDiscipline())
-}
+QUEUE_POLICIES: Registry[QueueDiscipline] = Registry(
+    "queue policy",
+    (FifoDiscipline(), PriorityBySizeDiscipline(), RoundRobinDiscipline()),
+)
 
-QUEUE_POLICY_NAMES = tuple(_DISCIPLINES)
+QUEUE_POLICY_NAMES = QUEUE_POLICIES.names()
 DEFAULT_QUEUE_POLICY = "fifo"
 
-
-def available_queue_policies() -> tuple[str, ...]:
-    """Registered discipline names, in registration order."""
-    return QUEUE_POLICY_NAMES
-
-
-def get_queue_policy(name: str) -> QueueDiscipline:
-    """Look up a discipline by name (the ``queue_policy`` axis values)."""
-    try:
-        return _DISCIPLINES[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown queue policy {name!r}; available: {QUEUE_POLICY_NAMES}"
-        ) from None
+#: Look up a discipline by name (the ``queue_policy`` axis values).
+get_queue_policy = QUEUE_POLICIES.get

@@ -53,7 +53,7 @@ from ..exceptions import ValidationError
 from ..runtime.des import Simulator
 from ..runtime.layers import RequestProfile
 from ..runtime.trace import Trace
-from .disciplines import DEFAULT_QUEUE_POLICY, QUEUE_POLICY_NAMES, get_queue_policy
+from .disciplines import DEFAULT_QUEUE_POLICY, get_queue_policy
 
 __all__ = [
     "CONTENTION_COLUMNS",
@@ -128,11 +128,7 @@ class ContentionWorkload:
             raise ValidationError(
                 "empty workload: sessions=0 and arrival_rate=0 produce no traffic"
             )
-        if self.queue_policy not in QUEUE_POLICY_NAMES:
-            raise ValidationError(
-                f"unknown queue policy {self.queue_policy!r}; "
-                f"available: {QUEUE_POLICY_NAMES}"
-            )
+        get_queue_policy(self.queue_policy)
         if self.session_requests < 1 or self.open_requests < 1:
             raise ValidationError("session_requests and open_requests must be >= 1")
         if self.think_factor < 0:

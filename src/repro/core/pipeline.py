@@ -122,25 +122,6 @@ class SweepArrays:
     def total_seconds(self) -> np.ndarray:
         return self.stage1.total + self.stage2.total + self.stage3.total
 
-    @property
-    def quantum_fraction(self) -> np.ndarray:
-        """Fraction of the total spent in quantum execution (Stage 2)."""
-        total = self.total_seconds
-        out = np.zeros_like(total)
-        np.divide(self.stage2.total, total, out=out, where=total > 0)
-        return out
-
-    def dominant_stage(self) -> np.ndarray:
-        """Per-point dominating stage, with the scalar path's tie-breaking
-        (earlier stages win ties)."""
-        s1, s3 = self.stage1.total, self.stage3.total
-        s2 = self.stage2.total
-        return np.where(
-            s3 > np.maximum(s1, s2),
-            "stage3",
-            np.where(s2 > s1, "stage2", "stage1"),
-        )
-
     def __len__(self) -> int:
         return int(self.lps.shape[0])
 

@@ -36,7 +36,6 @@ from .scheduler import (
     SIM_WORKERS,
     ScheduleTrace,
     Scheduler,
-    available_schedulers,
     get_scheduler,
     shard_costs,
     shard_schedule,
@@ -51,7 +50,6 @@ __all__ = [
     "Scheduler",
     "ShardCoordinator",
     "ShardWorker",
-    "available_schedulers",
     "get_scheduler",
     "shard_costs",
     "shard_schedule",

@@ -159,7 +159,6 @@ class ShardCoordinator:
         cache: StudyCache | None = None,
         scheduler: Scheduler | str = DEFAULT_SCHEDULER,
         lease_ttl_s: float = 30.0,
-        vectorize: bool = True,
         max_requeues: int = 10,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -172,7 +171,6 @@ class ShardCoordinator:
             get_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
         )
         self.lease_ttl_s = float(lease_ttl_s)
-        self.vectorize = bool(vectorize)
         self.max_requeues = int(max_requeues)
         self.stats = CoordinatorStats()
         self._clock = clock
@@ -193,7 +191,6 @@ class ShardCoordinator:
         study_id: str | None = None,
         scheduler: Scheduler | str | None = None,
         progress: DistProgress | None = None,
-        vectorize: bool | None = None,
     ) -> str:
         """Enqueue a study's shard grid for dispatch; returns its id.
 
@@ -217,7 +214,6 @@ class ShardCoordinator:
             spec,
             shard_size,
             budget=self.max_requeues,
-            vectorize=self.vectorize if vectorize is None else bool(vectorize),
             cache=self.cache,
             lock=self._lock,
         )

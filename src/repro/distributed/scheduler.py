@@ -48,6 +48,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
+from .._registry import Registry
 from ..exceptions import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -55,11 +56,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 __all__ = [
     "DEFAULT_SCHEDULER",
+    "SCHEDULERS",
     "SCHEDULER_NAMES",
     "SIM_WORKERS",
     "ScheduleTrace",
     "Scheduler",
-    "available_schedulers",
     "get_scheduler",
     "preferred_slot",
     "shard_costs",
@@ -161,27 +162,15 @@ class SizeAwareScheduler:
         return max(pending, key=lambda k: (costs[k], -k))
 
 
-_SCHEDULERS: dict[str, Scheduler] = {
-    s.name: s for s in (StaticScheduler(), WorkStealingScheduler(), SizeAwareScheduler())
-}
+SCHEDULERS: Registry[Scheduler] = Registry(
+    "scheduler", (StaticScheduler(), WorkStealingScheduler(), SizeAwareScheduler())
+)
 
-SCHEDULER_NAMES = tuple(_SCHEDULERS)
+SCHEDULER_NAMES = SCHEDULERS.names()
 DEFAULT_SCHEDULER = "static"
 
-
-def available_schedulers() -> tuple[str, ...]:
-    """Registered strategy names, in registration order."""
-    return SCHEDULER_NAMES
-
-
-def get_scheduler(name: str) -> Scheduler:
-    """Look up a strategy by name (the spec-axis values)."""
-    try:
-        return _SCHEDULERS[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown scheduler {name!r}; available: {SCHEDULER_NAMES}"
-        ) from None
+#: Look up a strategy by name (the spec-axis values).
+get_scheduler = SCHEDULERS.get
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ class JobManager:
         Worker threads executing jobs.  ``0`` starts none — submissions
         queue up but never run (used by tests to observe ``queued`` state
         and queue overflow deterministically).
-    executor_workers / shard_size / vectorize:
+    executor_workers / shard_size:
         Passed through to :func:`repro.studies.run_study` for every job.
         ``shard_size`` is part of each job's identity (it partitions the
         Monte-Carlo streams), so one service instance uses one value.
@@ -192,7 +192,6 @@ class JobManager:
         job_workers: int = 2,
         executor_workers: int = 1,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        vectorize: bool = True,
         max_retained_jobs: int = 1024,
         journal: JobJournal | str | Path | None = None,
         coordinator=None,
@@ -208,7 +207,6 @@ class JobManager:
         self.cache = cache
         self.shard_size = shard_size
         self.executor_workers = executor_workers
-        self.vectorize = vectorize
         self.max_retained_jobs = max_retained_jobs
         self.coordinator = coordinator
         self._queue: queue.Queue[Job | None] = queue.Queue(maxsize=queue_size)
@@ -387,7 +385,6 @@ class JobManager:
                     job.spec,
                     workers=self.executor_workers,
                     shard_size=job.shard_size,
-                    vectorize=self.vectorize,
                     cache=self.cache,
                     progress=on_progress,
                 )
@@ -425,7 +422,6 @@ class JobManager:
             shard_size=job.shard_size,
             study_id=job.job_id,
             progress=on_progress,
-            vectorize=self.vectorize,
         )
         stall_s = max(coordinator.lease_ttl_s, 1.0)
         last_activity = None

@@ -456,7 +456,7 @@ class StudyServer:
         A :class:`StudyCache`, a directory path to back one, or ``None``
         to serve without a shard store (jobs still deduplicate in-process
         by content-hash id).
-    queue_size, job_workers, executor_workers, shard_size, vectorize:
+    queue_size, job_workers, executor_workers, shard_size:
         Forwarded to :class:`JobManager`.
     journal:
         Optional :class:`~repro.service.journal.JobJournal` (or path):
@@ -495,7 +495,6 @@ class StudyServer:
         job_workers: int = 2,
         executor_workers: int = 1,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        vectorize: bool = True,
         max_retained_jobs: int = 1024,
         journal: JobJournal | str | Path | None = None,
         request_timeout: float = 60.0,
@@ -520,7 +519,6 @@ class StudyServer:
                 cache=cache,
                 scheduler=scheduler,
                 lease_ttl_s=lease_ttl_s,
-                vectorize=vectorize,
             )
         else:
             self.coordinator = None
@@ -530,7 +528,6 @@ class StudyServer:
             job_workers=job_workers,
             executor_workers=executor_workers,
             shard_size=shard_size,
-            vectorize=vectorize,
             max_retained_jobs=max_retained_jobs,
             journal=journal,
             coordinator=self.coordinator,

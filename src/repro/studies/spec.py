@@ -38,13 +38,13 @@ from pathlib import Path
 
 from .._json import canonical_line
 from ..backends import (
+    BACKENDS,
     DEFAULT_BACKEND,
     DEFAULT_OPERATING_POINT,
-    available_backends,
     capabilities as backend_capabilities,
 )
-from ..contention.disciplines import QUEUE_POLICY_NAMES
-from ..distributed.scheduler import DEFAULT_SCHEDULER, SCHEDULER_NAMES
+from ..contention.disciplines import QUEUE_POLICIES
+from ..distributed.scheduler import DEFAULT_SCHEDULER, SCHEDULERS
 from ..exceptions import ValidationError
 
 __all__ = ["Axis", "ScenarioSpec", "AXIS_ORDER", "EXECUTOR_AXES", "axis_default"]
@@ -79,6 +79,13 @@ MAX_POINTS = 50_000_000
 
 _EMBEDDING_MODES = ("online", "offline")
 
+#: Axes whose values are names in a registry.
+_NAMED_AXES = {
+    "backend": BACKENDS,
+    "scheduler": SCHEDULERS,
+    "queue_policy": QUEUE_POLICIES,
+}
+
 #: Axes owned by the *executor*, not the performance model: they shape
 #: how shards are dispatched (and the sched_* result columns), never the
 #: operating point a backend evaluates.  Exempt from backend capability
@@ -111,27 +118,13 @@ def _validate_axis(name: str, values: Sequence) -> tuple:
     if len(set(vals)) != len(vals):
         raise ValidationError(f"axis {name!r} has duplicate values")
 
-    if name == "backend":
-        known = available_backends()
+    registry = _NAMED_AXES.get(name)
+    if registry is not None:
         for v in vals:
-            if v not in known:
-                raise ValidationError(
-                    f"unknown backend {v!r}; registered backends: {known}"
-                )
-        return vals
-    if name == "scheduler":
-        for v in vals:
-            if v not in SCHEDULER_NAMES:
-                raise ValidationError(
-                    f"scheduler values must be one of {SCHEDULER_NAMES}, got {v!r}"
-                )
-        return vals
-    if name == "queue_policy":
-        for v in vals:
-            if v not in QUEUE_POLICY_NAMES:
-                raise ValidationError(
-                    f"queue_policy values must be one of {QUEUE_POLICY_NAMES}, got {v!r}"
-                )
+            try:
+                registry.get(v)
+            except ValidationError as exc:
+                raise ValidationError(f"axis {name!r}: {exc}") from None
         return vals
     if name == "embedding_mode":
         for v in vals:

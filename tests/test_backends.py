@@ -12,6 +12,7 @@ artifacts across worker counts and cold-vs-cache-served runs.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.backends import (
     BackendCapabilities,
     BackendTimings,
     PerformanceBackend,
+    SweepColumns,
     full_point,
 )
 from repro.exceptions import ValidationError
@@ -153,6 +155,54 @@ class TestCapabilityEnforcement:
     def test_full_point_rejects_unknown_parameters(self):
         with pytest.raises(ValidationError, match="unknown operating-point"):
             full_point(qubits=3)
+
+    @pytest.mark.parametrize(
+        "name,offaxis",
+        [
+            ("closed_form", {"sessions": 4}),
+            ("calibrated", {"clock_hz": 3.2e9}),
+            ("learned", {"embedding_mode": "offline"}),
+            ("aspen", {"anneal_us": 40.0}),
+        ],
+    )
+    def test_evaluate_and_sweep_reject_offaxis_point(self, name, offaxis):
+        backend = backends.get(name)
+        point = full_point(**offaxis)
+        with pytest.raises(ValidationError, match="not supported"):
+            backend.evaluate(point)
+        with pytest.raises(ValidationError, match="not supported"):
+            backend.sweep(point, [1, 2])
+
+
+#: Stage triples probing the derived-column rule: ties go to the earlier
+#: stage, an empty total has quantum fraction 0, totals associate left.
+FROM_STAGES_CASES = {
+    "all-equal": (1.0, 1.0, 1.0),
+    "s1-eq-s2-gt-s3": (2.0, 2.0, 1.0),
+    "s2-eq-s3-gt-s1": (1.0, 2.0, 2.0),
+    "s3-largest": (1.0, 2.0, 3.0),
+    "all-zero": (0.0, 0.0, 0.0),
+    "zero-stage2": (3.0, 0.0, 1.0),
+    "left-associated": (0.1, 0.2, 0.3),
+}
+
+
+@pytest.mark.parametrize(
+    "stages", FROM_STAGES_CASES.values(), ids=list(FROM_STAGES_CASES)
+)
+def test_from_stages_matches_scalar_rule(stages):
+    """The vector rule is bit-identical to BackendTimings' scalar properties."""
+    s1, s2, s3 = stages
+    cols = SweepColumns.from_stages(np.array([s1, s1]), s2, np.array([s3, s3]), 7)
+    timing = BackendTimings("probe", 1, 0.99, 0.7, s1, s2, s3, 7)
+    ref = SweepColumns.from_timings([timing, timing])
+    for field in fields(SweepColumns):
+        got, want = getattr(cols, field.name), getattr(ref, field.name)
+        assert got.dtype == want.dtype, field.name
+        assert got.tobytes() == want.tobytes(), field.name
+    if stages == (0.0, 0.0, 0.0):
+        assert cols.quantum_fraction[0] == 0.0
+        assert cols.dominant_stage[0] == "stage1"
 
 
 FIG9_GRID = [(lps, acc) for lps in (1, 5, 20, 50, 100) for acc in (0.9, 0.99)]

@@ -63,10 +63,6 @@ class TestSweepEquivalence:
         scalar = model.sweep(GRID)
         arrays = model.sweep_arrays(GRID)
         assert np.array_equal(
-            arrays.quantum_fraction, [t.quantum_fraction for t in scalar]
-        )
-        assert list(arrays.dominant_stage()) == [t.dominant_stage for t in scalar]
-        assert np.array_equal(
             arrays.stage1.classical_translation,
             [t.stage1.classical_translation for t in scalar],
         )
