@@ -28,6 +28,13 @@ echo "== tier-1 test suite =="
 python -m pytest -x -q
 
 echo
+echo "== paper-figure bench import gate =="
+# testpaths=tests and pytest's default file pattern keep benchmarks/bench_*.py
+# out of every test tier, so collect them explicitly: a bench that imports a
+# removed or renamed name fails here instead of passing silently.
+python -m pytest --collect-only -q -o addopts="" benchmarks/bench_*.py
+
+echo
 echo "== concurrency stress tier (distributed + faults, 5 reruns) =="
 # The shard engine's execution paths race worker threads, lease expiry and stall
 # detection; one green run proves little.  Rerun the markers that cover

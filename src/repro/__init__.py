@@ -9,8 +9,9 @@ models depend on.
 Subpackages
 -----------
 ``repro.qubo``
-    QUBO/Ising problems, exact conversions (paper Eqs. 4-5), generators,
-    brute-force reference solvers.
+    QUBO/Ising problems, exact conversions (paper Eqs. 4-5), random and
+    graph workload generators, the COO problem format, brute-force
+    reference solvers.
 ``repro.hardware``
     Chimera connectivity graphs (Fig. 3), fault models, control precision,
     DW2 timing constants.
@@ -18,8 +19,8 @@ Subpackages
     Minor embedding: the Cai-Macready-Roy heuristic, deterministic clique
     embeddings, verification, parameter setting, and chain decoding.
 ``repro.annealer``
-    Simulated quantum annealer (Metropolis sampler), exact solver, sample
-    sets, and the timed device facade.
+    Simulated quantum annealer (heat-bath sampler), exact solver, the
+    energy-sorted sample set, anneal schedules, and the timed device facade.
 ``repro.aspen``
     A from-scratch implementation of the ASPEN performance-modeling language
     subset used by the paper (Figs. 5-8), with bundled model files.

@@ -1,23 +1,17 @@
-"""The QPU surrogate: samplers, readout containers, and the timed device.
+"""The QPU surrogate: two samplers, the readout container, and the timed device.
 
 The paper treats the QPU behaviorally — "a probabilistic processor" whose
 repeated anneal-read cycles return low-energy samples (Sec. 3.2).  This
-package supplies that behavior (a vectorized Metropolis simulated annealer
-plus an exact enumerator for ground truth) and the
-:class:`~repro.annealer.device.DWaveDevice` facade that stitches embedding,
-parameter programming, sampling, decoding, and DW2 timing into one call.
+package supplies that behavior (a vectorized heat-bath simulated annealer
+with its anneal schedules, plus an exact enumerator for ground truth), the
+energy-sorted :class:`~repro.annealer.sampleset.SampleSet` that Stage 3
+sorts and counts, and the :class:`~repro.annealer.device.DWaveDevice`
+facade — the one call that stitches embedding, parameter programming,
+sampling, decoding, and DW2 timing together.
 """
 
-from .composites import (
-    ComposedSampler,
-    EmbeddingComposite,
-    FixedVariableComposite,
-    ParallelTemperingComposite,
-    TruncateComposite,
-)
 from .device import DeviceResult, DeviceTiming, DWaveDevice
 from .exact import ExactSolver
-from .postprocess import greedy_descent, refine_sampleset
 from .sa import SimulatedAnnealingSampler, color_classes
 from .sampler import Sampler
 from .sampleset import SampleSet
@@ -26,16 +20,9 @@ from .schedule import AnnealSchedule, geometric_schedule, linear_schedule
 __all__ = [
     "Sampler",
     "SampleSet",
-    "ComposedSampler",
-    "EmbeddingComposite",
-    "FixedVariableComposite",
-    "TruncateComposite",
-    "ParallelTemperingComposite",
     "SimulatedAnnealingSampler",
     "color_classes",
     "ExactSolver",
-    "greedy_descent",
-    "refine_sampleset",
     "AnnealSchedule",
     "linear_schedule",
     "geometric_schedule",

@@ -138,12 +138,6 @@ class SampleSet:
             counts.astype(np.int64)[order],
         )
 
-    def truncated(self, k: int) -> "SampleSet":
-        """Keep only the ``k`` lowest-energy rows."""
-        if k < 0:
-            raise ValidationError(f"k must be non-negative, got {k}")
-        return SampleSet(self.samples[:k], self.energies[:k], self.num_occurrences[:k])
-
     def ground_state_probability(self, ground_energy: float, atol: float = 1e-9) -> float:
         """Empirical probability that a read landed within ``atol`` of ``ground_energy``.
 

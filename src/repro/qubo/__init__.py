@@ -2,8 +2,9 @@
 
 The classical side of the split-execution system: quadratic unconstrained
 binary optimization problems (paper Eq. (3)), Ising spin models (Eq. (2)),
-the exact conversions between them (Eqs. (4)-(5)), workload generators for
-the problem families the paper cites, and brute-force reference solvers.
+the exact conversions between them (Eqs. (4)-(5)), random and graph
+(MAX-CUT, maximum independent set) workload generators, the COO text
+format, and brute-force reference solvers.
 """
 
 from .conversions import (
@@ -20,15 +21,10 @@ from .energy import (
     iter_binary_states,
 )
 from .generators import (
-    graph_coloring_qubo,
     max_independent_set_qubo,
     maxcut_qubo,
-    min_vertex_cover_qubo,
-    number_partitioning_ising,
     random_ising,
     random_qubo,
-    set_packing_qubo,
-    weighted_max2sat_qubo,
 )
 from .io import (
     dumps_ising,
@@ -57,11 +53,6 @@ __all__ = [
     "random_ising",
     "maxcut_qubo",
     "max_independent_set_qubo",
-    "min_vertex_cover_qubo",
-    "number_partitioning_ising",
-    "weighted_max2sat_qubo",
-    "graph_coloring_qubo",
-    "set_packing_qubo",
     "dumps_qubo",
     "loads_qubo",
     "dumps_ising",

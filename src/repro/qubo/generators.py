@@ -1,20 +1,15 @@
-"""Workload generators: optimization problems that map into the D-Wave QPU.
+"""Workload generators: the problem instances the tests, examples and kernels run.
 
-The paper's introduction motivates split-execution with problems "shown to
-map into the D-Wave processor" — MAX-SAT, MIN-COVER, MAX-CUT and other graph
-problems, classification, integer programming, and set packing (Sec. 2.1,
-citing Lucas's Ising formulations).  This module provides generators for a
-representative set of those reductions, each returning a :class:`Qubo` or
-:class:`IsingModel` whose ground states encode the combinatorial optimum.
-
-All constructions carry their constant terms in ``offset`` so that the
-reported energies equal the natural objective value (e.g. minus the cut
-weight for MAX-CUT).
+The paper prices a split-execution request from its logical problem size,
+not from which optimization problem produced the QUBO.  This module holds
+the generators that something in the repository runs: random
+QUBO / Ising instances (the golden kernel workloads and the default CLI
+problem), and two graph reductions from the problem families the paper's
+introduction cites (Sec. 2.1) — MAX-CUT, whose energy is minus the cut
+weight, and maximum independent set, whose energy is minus the set size.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable, Sequence
 
 import networkx as nx
 import numpy as np
@@ -29,11 +24,6 @@ __all__ = [
     "random_ising",
     "maxcut_qubo",
     "max_independent_set_qubo",
-    "min_vertex_cover_qubo",
-    "number_partitioning_ising",
-    "weighted_max2sat_qubo",
-    "graph_coloring_qubo",
-    "set_packing_qubo",
 ]
 
 
@@ -140,182 +130,3 @@ def max_independent_set_qubo(graph: nx.Graph, penalty: float = 2.0) -> Qubo:
         (min(u, v), max(u, v)): float(penalty) for u, v in graph.edges() if u != v
     }
     return Qubo(linear, quadratic)
-
-
-def min_vertex_cover_qubo(graph: nx.Graph, penalty: float = 2.0) -> Qubo:
-    """Minimum vertex cover: ``E(b) = |C| + penalty * (#uncovered edges)``.
-
-    Each uncovered edge contributes ``penalty * (1 - b_u)(1 - b_v)``.
-    """
-    if penalty <= 1.0:
-        raise ValidationError(f"penalty must exceed 1 for a faithful encoding, got {penalty}")
-    nodes = _check_simple_graph(graph)
-    n = len(nodes)
-    p = float(penalty)
-    linear = np.ones(n, dtype=np.float64)
-    quadratic: dict[tuple[int, int], float] = {}
-    offset = 0.0
-    for u, v in graph.edges():
-        if u == v:
-            continue
-        offset += p
-        linear[u] -= p
-        linear[v] -= p
-        key = (min(u, v), max(u, v))
-        quadratic[key] = quadratic.get(key, 0.0) + p
-    return Qubo(linear, quadratic, offset)
-
-
-def number_partitioning_ising(values: Sequence[float]) -> IsingModel:
-    """Number partitioning: ``E(s) = (sum_i a_i s_i)^2``.
-
-    A zero-energy ground state is a perfect partition; otherwise the ground
-    energy is the squared residual of the best partition.
-    """
-    a = np.asarray(values, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValidationError(f"values must be 1-D, got shape {a.shape}")
-    n = a.shape[0]
-    J = {
-        (i, j): 2.0 * float(a[i] * a[j]) for i in range(n) for j in range(i + 1, n)
-    }
-    return IsingModel(np.zeros(n), J, offset=float(np.sum(a * a)))
-
-
-def weighted_max2sat_qubo(
-    clauses: Iterable[tuple[int, ...]],
-    weights: Sequence[float] | None = None,
-    num_variables: int | None = None,
-) -> Qubo:
-    """Weighted MAX-2-SAT: ``E(b)`` is the total weight of *unsatisfied* clauses.
-
-    Clauses are tuples of 1 or 2 nonzero DIMACS-style literals: literal ``+k``
-    means variable ``k-1`` is true, ``-k`` means it is false.
-    """
-    clause_list = [tuple(c) for c in clauses]
-    if weights is None:
-        w_arr = np.ones(len(clause_list), dtype=np.float64)
-    else:
-        w_arr = np.asarray(weights, dtype=np.float64)
-        if w_arr.shape != (len(clause_list),):
-            raise ValidationError("weights must have one entry per clause")
-
-    max_var = 0
-    for c in clause_list:
-        if not 1 <= len(c) <= 2 or any(lit == 0 for lit in c):
-            raise ValidationError(f"clauses must have 1-2 nonzero literals, got {c}")
-        max_var = max(max_var, max(abs(lit) for lit in c))
-    n = num_variables if num_variables is not None else max_var
-    if n < max_var:
-        raise ValidationError(f"num_variables={n} < largest referenced variable {max_var}")
-
-    linear = np.zeros(n, dtype=np.float64)
-    quadratic: dict[tuple[int, int], float] = {}
-    offset = 0.0
-
-    def add_quad(i: int, j: int, v: float) -> None:
-        key = (min(i, j), max(i, j))
-        quadratic[key] = quadratic.get(key, 0.0) + v
-
-    for c, w in zip(clause_list, w_arr):
-        w = float(w)
-        if len(c) == 1:
-            (lit,) = c
-            i = abs(lit) - 1
-            if lit > 0:  # unsatisfied iff b_i = 0 : w * (1 - b_i)
-                offset += w
-                linear[i] -= w
-            else:  # unsatisfied iff b_i = 1 : w * b_i
-                linear[i] += w
-            continue
-        l1, l2 = c
-        i, j = abs(l1) - 1, abs(l2) - 1
-        if i == j:
-            # (x or x) == unary; (x or not x) == tautology.
-            if (l1 > 0) == (l2 > 0):
-                if l1 > 0:
-                    offset += w
-                    linear[i] -= w
-                else:
-                    linear[i] += w
-            continue
-        if l1 > 0 and l2 > 0:  # unsat iff both false: w (1-b_i)(1-b_j)
-            offset += w
-            linear[i] -= w
-            linear[j] -= w
-            add_quad(i, j, w)
-        elif l1 > 0 and l2 < 0:  # unsat iff b_i=0, b_j=1: w (1-b_i) b_j
-            linear[j] += w
-            add_quad(i, j, -w)
-        elif l1 < 0 and l2 > 0:  # unsat iff b_i=1, b_j=0
-            linear[i] += w
-            add_quad(i, j, -w)
-        else:  # both negated: unsat iff both true
-            add_quad(i, j, w)
-    return Qubo(linear, quadratic, offset)
-
-
-def graph_coloring_qubo(graph: nx.Graph, num_colors: int, penalty: float = 1.0) -> Qubo:
-    """Proper ``k``-coloring feasibility as a QUBO over one-hot variables.
-
-    Variable ``x[v, c] = b[v * k + c]`` selects color ``c`` for vertex ``v``.
-    ``E(b) = penalty * (sum_v (1 - sum_c x_vc)^2 + sum_{(u,v) in E} sum_c x_uc x_vc)``,
-    so ``E == 0`` exactly when ``b`` encodes a proper coloring.
-    """
-    if num_colors < 1:
-        raise ValidationError(f"num_colors must be >= 1, got {num_colors}")
-    nodes = _check_simple_graph(graph)
-    n, k, p = len(nodes), int(num_colors), float(penalty)
-
-    def var(v: int, c: int) -> int:
-        return v * k + c
-
-    linear = np.zeros(n * k, dtype=np.float64)
-    quadratic: dict[tuple[int, int], float] = {}
-    offset = p * n  # the "+1" of each one-hot square
-
-    def add_quad(i: int, j: int, v: float) -> None:
-        key = (min(i, j), max(i, j))
-        quadratic[key] = quadratic.get(key, 0.0) + v
-
-    for v in range(n):
-        for c in range(k):
-            linear[var(v, c)] -= p  # -2 sum x + sum x^2 = -sum x (binary)
-        for c1 in range(k):
-            for c2 in range(c1 + 1, k):
-                add_quad(var(v, c1), var(v, c2), 2.0 * p)
-    for u, v in graph.edges():
-        if u == v:
-            continue
-        for c in range(k):
-            add_quad(var(u, c), var(v, c), p)
-    return Qubo(linear, quadratic, offset)
-
-
-def set_packing_qubo(
-    sets: Sequence[Iterable[int]],
-    weights: Sequence[float] | None = None,
-    penalty: float | None = None,
-) -> Qubo:
-    """Weighted set packing: choose disjoint sets maximizing total weight.
-
-    ``E(b) = -sum_i w_i b_i + penalty * (#chosen overlapping pairs)``.  The
-    default penalty (``1 + max w``) makes every minimum a valid packing.
-    """
-    universe_sets = [frozenset(int(e) for e in s) for s in sets]
-    m = len(universe_sets)
-    if weights is None:
-        w_arr = np.ones(m, dtype=np.float64)
-    else:
-        w_arr = np.asarray(weights, dtype=np.float64)
-        if w_arr.shape != (m,):
-            raise ValidationError("weights must have one entry per set")
-    if penalty is None:
-        penalty = 1.0 + (float(np.max(w_arr)) if m else 0.0)
-    p = float(penalty)
-    quadratic: dict[tuple[int, int], float] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            if universe_sets[i] & universe_sets[j]:
-                quadratic[(i, j)] = p
-    return Qubo(-w_arr, quadratic)

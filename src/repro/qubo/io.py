@@ -17,6 +17,7 @@ fields ``h_i`` and off-diagonal entries the couplings ``J_ij``.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,24 @@ def dumps_ising(ising: IsingModel) -> str:
                  ising.iter_couplings())
 
 
-def _parse(text: str) -> tuple[str, int, float, np.ndarray, dict]:
+def _index(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ValidationError(f"line {lineno}: bad index {token!r}") from exc
+
+
+def _finite(token: str, lineno: int) -> float:
+    try:
+        value = float(token)
+    except ValueError as exc:
+        raise ValidationError(f"line {lineno}: bad value {token!r}") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"line {lineno}: value {token!r} is not finite")
+    return value
+
+
+def _parse(text: str) -> tuple[str, float, np.ndarray, dict]:
     kind: str | None = None
     n = 0
     offset = 0.0
@@ -81,28 +99,31 @@ def _parse(text: str) -> tuple[str, int, float, np.ndarray, dict]:
         if parts[0] == "offset":
             if len(parts) != 2:
                 raise ValidationError(f"line {lineno}: offset needs one value")
-            offset = float(parts[1])
+            offset = _finite(parts[1], lineno)
             continue
         if len(parts) != 3:
             raise ValidationError(f"line {lineno}: expected 'i j value', got {raw!r}")
-        i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+        i, j = _index(parts[0], lineno), _index(parts[1], lineno)
+        v = _finite(parts[2], lineno)
         if not (0 <= i < n and 0 <= j < n):
             raise ValidationError(f"line {lineno}: index ({i}, {j}) outside n={n}")
         assert linear is not None
         if i == j:
-            linear[i] += v
+            total = linear[i] = float(linear[i]) + v
         else:
             key = (min(i, j), max(i, j))
-            quadratic[key] = quadratic.get(key, 0.0) + v
+            total = quadratic[key] = quadratic.get(key, 0.0) + v
+        if not math.isfinite(total):
+            raise ValidationError(f"line {lineno}: entry ({i}, {j}) overflows")
     if kind is None:
         raise ValidationError("empty problem file (no header)")
     assert linear is not None
-    return kind, n, offset, linear, quadratic
+    return kind, offset, linear, quadratic
 
 
 def loads_qubo(text: str) -> Qubo:
     """Parse COO text with a ``qubo`` header."""
-    kind, _, offset, linear, quadratic = _parse(text)
+    kind, offset, linear, quadratic = _parse(text)
     if kind != "qubo":
         raise ValidationError(f"expected a qubo file, got {kind!r}")
     return Qubo(linear, quadratic, offset)
@@ -110,7 +131,7 @@ def loads_qubo(text: str) -> Qubo:
 
 def loads_ising(text: str) -> IsingModel:
     """Parse COO text with an ``ising`` header."""
-    kind, _, offset, linear, quadratic = _parse(text)
+    kind, offset, linear, quadratic = _parse(text)
     if kind != "ising":
         raise ValidationError(f"expected an ising file, got {kind!r}")
     return IsingModel(linear, quadratic, offset)
@@ -129,6 +150,6 @@ def save_problem(problem: Qubo | IsingModel, path: str | Path) -> None:
 
 def load_problem(path: str | Path) -> Qubo | IsingModel:
     """Read a COO problem file; the header selects the type."""
-    text = Path(path).read_text()
-    kind, *_ = _parse(text)
-    return loads_qubo(text) if kind == "qubo" else loads_ising(text)
+    kind, offset, linear, quadratic = _parse(Path(path).read_text())
+    model = Qubo if kind == "qubo" else IsingModel
+    return model(linear, quadratic, offset)

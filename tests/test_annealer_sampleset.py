@@ -70,16 +70,6 @@ class TestAggregation:
         assert agg2.num_rows == agg.num_rows
         assert np.array_equal(agg2.num_occurrences, agg.num_occurrences)
 
-    def test_truncated(self, model, rng):
-        S = (rng.integers(0, 2, size=(10, 2)) * 2 - 1).astype(np.int8)
-        ss = SampleSet.from_samples(model, S).truncated(3)
-        assert ss.num_rows == 3
-
-    def test_truncate_guard(self, model):
-        ss = SampleSet.from_samples(model, np.ones((1, 2), dtype=np.int8))
-        with pytest.raises(ValidationError):
-            ss.truncated(-1)
-
 
 class TestStatistics:
     def test_first_and_lowest(self, model, rng):

@@ -8,17 +8,11 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.qubo import (
-    brute_force_ising,
     brute_force_qubo,
-    graph_coloring_qubo,
     max_independent_set_qubo,
     maxcut_qubo,
-    min_vertex_cover_qubo,
-    number_partitioning_ising,
     random_ising,
     random_qubo,
-    set_packing_qubo,
-    weighted_max2sat_qubo,
 )
 
 
@@ -86,118 +80,3 @@ class TestIndependentSetAndCover:
     def test_mis_penalty_guard(self):
         with pytest.raises(ValidationError):
             max_independent_set_qubo(nx.path_graph(3), penalty=1.0)
-
-    def test_vertex_cover_on_star(self):
-        # Star K_{1,4}: minimum vertex cover is the center, size 1.
-        q = min_vertex_cover_qubo(nx.star_graph(4))
-        s, e = brute_force_qubo(q)
-        assert e[0] == pytest.approx(1.0)
-        assert s[0][0] == 1  # the hub
-
-    def test_cover_complement_of_mis(self):
-        g = nx.cycle_graph(6)
-        _, e_mis = brute_force_qubo(max_independent_set_qubo(g))
-        _, e_vc = brute_force_qubo(min_vertex_cover_qubo(g))
-        # |MIS| + |MVC| = n (Gallai identity).
-        assert -e_mis[0] + e_vc[0] == pytest.approx(6.0)
-
-
-class TestNumberPartitioning:
-    def test_perfect_partition(self):
-        m = number_partitioning_ising([1, 2, 3])  # {1,2} vs {3}
-        _, e = brute_force_ising(m)
-        assert e[0] == pytest.approx(0.0)
-
-    def test_imperfect_partition_residual(self):
-        m = number_partitioning_ising([3, 1, 1])  # best residual = 1
-        _, e = brute_force_ising(m)
-        assert e[0] == pytest.approx(1.0)
-
-    def test_energy_is_square_of_signed_sum(self, rng):
-        vals = rng.integers(1, 10, size=6).astype(float)
-        m = number_partitioning_ising(vals)
-        s = rng.integers(0, 2, size=6) * 2 - 1
-        assert m.energy(s) == pytest.approx(float(np.dot(vals, s)) ** 2)
-
-
-class TestMax2Sat:
-    def test_satisfiable_formula(self):
-        # (x1 or x2) and (not x1 or x2) and (x1 or not x2): sat with x1=x2=1.
-        q = weighted_max2sat_qubo([(1, 2), (-1, 2), (1, -2)])
-        s, e = brute_force_qubo(q)
-        assert e[0] == pytest.approx(0.0)
-        assert s[0].tolist() == [1, 1]
-
-    def test_unsatisfiable_pair(self):
-        # (x1) and (not x1): exactly one clause must fail.
-        q = weighted_max2sat_qubo([(1,), (-1,)])
-        _, e = brute_force_qubo(q)
-        assert e[0] == pytest.approx(1.0)
-
-    def test_weights_respected(self):
-        # Prefer violating the cheap clause.
-        q = weighted_max2sat_qubo([(1,), (-1,)], weights=[10.0, 1.0])
-        s, e = brute_force_qubo(q)
-        assert e[0] == pytest.approx(1.0)
-        assert s[0][0] == 1  # keeps the weight-10 clause satisfied
-
-    def test_energy_counts_violations(self, rng):
-        clauses = [(1, 2), (-2, 3), (-1, -3), (2,)]
-        q = weighted_max2sat_qubo(clauses)
-        for _ in range(10):
-            b = rng.integers(0, 2, size=3)
-            expected = 0
-            assign = {i + 1: bool(b[i]) for i in range(3)}
-            for c in clauses:
-                sat = any((lit > 0) == assign[abs(lit)] for lit in c)
-                expected += 0 if sat else 1
-            assert q.energy(b) == pytest.approx(expected)
-
-    def test_tautology_ignored(self):
-        q = weighted_max2sat_qubo([(1, -1)])
-        assert q.energy([0]) == pytest.approx(0.0)
-        assert q.energy([1]) == pytest.approx(0.0)
-
-    def test_bad_clause(self):
-        with pytest.raises(ValidationError):
-            weighted_max2sat_qubo([(0, 1)])
-        with pytest.raises(ValidationError):
-            weighted_max2sat_qubo([(1, 2, 3)])
-
-
-class TestColoring:
-    def test_triangle_3colorable(self):
-        q = graph_coloring_qubo(nx.complete_graph(3), num_colors=3)
-        s, e = brute_force_qubo(q)
-        assert e[0] == pytest.approx(0.0)
-        cols = s[0].reshape(3, 3)
-        assert (cols.sum(axis=1) == 1).all()  # one-hot
-        chosen = cols.argmax(axis=1)
-        assert len(set(chosen)) == 3  # all distinct on K3
-
-    def test_triangle_not_2colorable(self):
-        q = graph_coloring_qubo(nx.complete_graph(3), num_colors=2)
-        _, e = brute_force_qubo(q)
-        assert e[0] > 0.0
-
-    def test_bad_color_count(self):
-        with pytest.raises(ValidationError):
-            graph_coloring_qubo(nx.path_graph(2), num_colors=0)
-
-
-class TestSetPacking:
-    def test_disjoint_sets_all_chosen(self):
-        q = set_packing_qubo([{0, 1}, {2, 3}, {4}])
-        s, e = brute_force_qubo(q)
-        assert e[0] == pytest.approx(-3.0)
-        assert s[0].tolist() == [1, 1, 1]
-
-    def test_overlap_forces_choice(self):
-        q = set_packing_qubo([{0, 1}, {1, 2}], weights=[1.0, 2.0])
-        s, e = brute_force_qubo(q)
-        assert e[0] == pytest.approx(-2.0)
-        assert s[0].tolist() == [0, 1]
-
-    def test_weight_shape_checked(self):
-        with pytest.raises(ValidationError):
-            set_packing_qubo([{0}], weights=[1.0, 2.0])

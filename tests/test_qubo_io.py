@@ -83,6 +83,21 @@ class TestParsing:
             loads_ising("qubo 2\n0 0 1.0\n")
         with pytest.raises(ValidationError, match="bad size"):
             loads_qubo("qubo many\n")
+        with pytest.raises(ValidationError, match="line 2: bad index 'x'"):
+            loads_qubo("qubo 2\n0 x 1\n")
+        with pytest.raises(ValidationError, match="line 2: bad value 'y'"):
+            loads_qubo("qubo 2\n0 1 y\n")
+        with pytest.raises(ValidationError, match="line 2: bad value 'abc'"):
+            loads_qubo("qubo 2\noffset abc\n")
+        for bad in ("nan", "inf", "-inf", "1e400"):
+            with pytest.raises(ValidationError, match=f"line 2: value '{bad}' is not finite"):
+                loads_qubo(f"qubo 2\n0 1 {bad}\n")
+            with pytest.raises(ValidationError, match=f"line 2: value '{bad}' is not finite"):
+                loads_ising(f"ising 2\n1 1 {bad}\n")
+            with pytest.raises(ValidationError, match=f"line 2: value '{bad}' is not finite"):
+                loads_qubo(f"qubo 2\noffset {bad}\n")
+        with pytest.raises(ValidationError, match="line 3: entry \\(1, 0\\) overflows"):
+            loads_qubo("qubo 2\n0 1 1e308\n1 0 1e308\n")
 
     def test_save_rejects_unknown_type(self, tmp_path):
         with pytest.raises(ValidationError):
