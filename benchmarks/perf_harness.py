@@ -4,8 +4,9 @@ Times a fixed set of named reference workloads — the kernels the paper's
 headline result (Fig. 9) makes hot: SA sampling, batched energy evaluation,
 brute-force enumeration, CMR minor embedding, the Fig.-9 pipeline sweep,
 ASPEN paper-model loading, the compiled ASPEN backend sweep, the sharded
-scenario-study executor, and the coordinator/worker distributed study
-path — and emits a machine-readable
+scenario-study executor, the coordinator/worker distributed study path,
+a cache-warm round trip through the study service, and the artifact
+encoder — and emits a machine-readable
 ``BENCH_PERF.json`` at the repository root so every PR's perf delta is
 visible in review.
 
@@ -97,6 +98,19 @@ SEED_BASELINE_SECONDS: dict[str, float | None] = {
     # compiler's whole point; the differential suite pins the compiled
     # arrays bit-identical to that loop.
     "aspen_sweep": 4.54712,
+    # The service_roundtrip baseline is this exact workload on the polling
+    # client (status polled from 50 ms with geometric back-off), measured
+    # best-of-25 over five runs on a 2-vCPU container when the settle-event
+    # long-poll landed.  The poll tick, not the job, set that time; the
+    # long-poll must stay >= 2.0x ahead of it (the perf-marked floor in
+    # tests/test_perf_harness.py).
+    "service_roundtrip": 0.0623,
+    # The artifact_encode baseline is this exact workload through the
+    # row-wise encoder (one float()/int()/str() call and one NaN test per
+    # cell), measured best-of-25 over five runs on the same container when
+    # the column-wise ndarray.tolist() encoder landed.  What is left is
+    # json.dumps itself; the floor is >= 1.2x.
+    "artifact_encode": 0.0875,
 }
 
 
@@ -376,6 +390,76 @@ def _aspen_sweep(check: bool):
     )
 
 
+def _service_roundtrip(check: bool):
+    import itertools
+    import shutil
+    import tempfile
+
+    from repro.service import StudyServer, StudyServiceClient
+    from repro.studies import ScenarioSpec
+
+    # One client round trip (submit, wait, fetch) through an in-process
+    # server whose StudyCache already holds every shard: each call submits
+    # a renamed copy of the warmed grid, so the job is a fresh one served
+    # wholly from cache, and what is timed is the service path itself —
+    # HTTP, the job queue, cache load, encode and the completion wait.
+    lps = range(1, 11) if check else range(1, 501)
+    axes = {
+        "lps": list(lps),
+        "accuracy": [0.9, 0.99],
+        "embedding_mode": ["online", "offline"],
+    }
+    names = itertools.count()
+    cache_dir = tempfile.mkdtemp(prefix="perf-service-")
+    server = StudyServer(cache=cache_dir).start()
+    client = StudyServiceClient(server.url)
+
+    def round_trip():
+        spec = ScenarioSpec(axes=axes, name=f"perf-roundtrip-{next(names)}")
+        return client.run(spec, timeout=60.0)
+
+    def op():
+        assert round_trip().served_from_cache
+
+    def close():
+        server.stop()
+        shutil.rmtree(cache_dir, ignore_errors=True)
+
+    try:
+        round_trip()  # computes every shard into the cache
+    except BaseException:
+        close()
+        raise
+    points = 4 * len(lps)
+    return op, (
+        f"service round trip, {points}-point closed_form grid, cache-warm, "
+        f"in-process StudyServer{' (check)' if check else ''}"
+    ), close
+
+
+def _artifact_encode(check: bool):
+    from repro.studies import ScenarioSpec, run_study
+
+    lps = range(1, 21) if check else range(1, 2251)
+    spec = ScenarioSpec(
+        axes={
+            "lps": list(lps),
+            "accuracy": [0.9, 0.99],
+            "embedding_mode": ["online", "offline"],
+        },
+        name="perf-encode",
+    )
+    results = run_study(spec)
+
+    def op():
+        results.artifact_bytes()
+
+    return op, (
+        f"artifact_bytes of a {spec.num_points}-point closed_form study"
+        f"{' (check)' if check else ''}"
+    )
+
+
 KERNELS = {
     "sa_sample": _sa_sample,
     "energies": _energies,
@@ -388,6 +472,8 @@ KERNELS = {
     "study_contended": _study_contended,
     "study_faulted": _study_faulted,
     "study_distributed": _study_distributed,
+    "service_roundtrip": _service_roundtrip,
+    "artifact_encode": _artifact_encode,
 }
 
 
@@ -411,15 +497,21 @@ def run(check: bool = False, repeats: int = 5) -> dict:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     kernels = {}
     for name, factory in KERNELS.items():
-        op, workload = factory(check)
-        if check:
-            t0 = time.perf_counter()
-            op()
-            best = median = time.perf_counter() - t0
-            reps = 1
-        else:
-            best, median = _time(op, repeats)
-            reps = repeats
+        # A kernel that holds resources (a server, a temp dir) returns a
+        # third element: the teardown to run once it has been timed.
+        op, workload, *teardown = factory(check)
+        try:
+            if check:
+                t0 = time.perf_counter()
+                op()
+                best = median = time.perf_counter() - t0
+                reps = 1
+            else:
+                best, median = _time(op, repeats)
+                reps = repeats
+        finally:
+            for close in teardown:
+                close()
         seed = SEED_BASELINE_SECONDS.get(name) if not check else None
         kernels[name] = {
             "seconds": best,

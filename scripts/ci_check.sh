@@ -2,7 +2,8 @@
 # The repo's one-command verification gate.
 #
 #   ./scripts/ci_check.sh          # tier-1 + stress reruns + examples + perf smoke
-#                                  #   + cache smoke + service smoke + coverage
+#                                  #   + traced perfbench smoke + cache smoke
+#                                  #   + service smoke + coverage
 #   ./scripts/ci_check.sh --fast   # everything except the coverage gate
 #
 # Coverage: the floor below is enforced whenever the gate runs.  It is
@@ -55,6 +56,13 @@ python -m pytest -q -m examples
 echo
 echo "== perf-harness smoke (--check) =="
 python -m benchmarks.perf_harness --check
+
+echo
+echo "== traced service benchmark smoke (perfbench, grid_warm) =="
+# perfbench's timing shims wrap service callables by name and call shape
+# (StudyServiceClient.status, JobManager._run_job, ...); a src/ change that
+# breaks that contract fails the traced run's zero-call and ledger checks.
+python3 perfbench/run.py --workload grid_warm --seed 1 --seconds 2 --trace 1
 
 echo
 echo "== study-cache correctness smoke =="

@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a study to a running service and fetch its artifact",
         description="Send a ScenarioSpec (same --spec/axis flags as `study`) "
-        "to a study service, poll the job until it finishes, and write the "
+        "to a study service, wait for the job to finish, and write the "
         "served artifact — byte-identical to running `study` locally.",
     )
     p.add_argument("--url", type=str, required=True,
@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=300.0,
                    help="seconds to wait for the job before giving up")
     p.add_argument("--poll", type=float, default=0.1,
-                   help="initial status poll interval in seconds (backs off to ~1s)")
+                   help="minimum seconds between two status reads of an unfinished "
+                   "job (completion itself is long-polled, not polled)")
     p.add_argument("--retries", type=int, default=2,
                    help="transient-failure retries per request (connection resets, "
                    "5xx, 429); safe because job ids are content hashes")

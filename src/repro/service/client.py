@@ -1,8 +1,8 @@
 """Stdlib client for the study job service.
 
 A thin, dependency-free wrapper over ``urllib.request`` speaking the wire
-protocol of :mod:`repro.service.protocol`: submit a spec, poll its job,
-fetch the canonical artifact.  Every structured error the server returns
+protocol of :mod:`repro.service.protocol`: submit a spec, wait for its
+job, fetch the canonical artifact.  Every structured error the server returns
 is raised as :class:`~repro.service.protocol.ServiceError` carrying the
 machine-readable code, so callers dispatch on ``exc.code`` instead of
 parsing message text; transport failures raise the same type with the
@@ -15,6 +15,13 @@ request itself is wrong, and repeating it cannot help.  Retrying a
 submission is always safe because job ids are content hashes: re-sending
 the same spec lands on the same job (idempotent by construction), so the
 client cannot double-execute a study by retrying.
+
+Waiting is a long-poll, not a poll loop: :meth:`StudyServiceClient.wait`
+parks on ``GET /studies/<id>?wait=S``, which the server answers the moment
+the job settles, then reads the terminal status once.  So the client sees
+completion one round trip after it happens, whatever the job's length,
+and a settled study costs exactly two status requests.  A server that
+ignores ``wait`` answers at once; ``poll_interval`` then spaces the reads.
 
 The blocking convenience :meth:`StudyServiceClient.run` is submit + wait +
 fetch in one call::
@@ -40,12 +47,13 @@ from .protocol import (
     ERR_TIMEOUT,
     HEADER_CACHE_SHARDS,
     HEADER_SERVED_FROM_CACHE,
+    MAX_WAIT_S,
     ServiceError,
 )
 
 __all__ = ["ArtifactResponse", "StudyServiceClient"]
 
-#: Job states that will never change again — polling can stop.
+#: Job states that will never change again — waiting can stop.
 _TERMINAL_STATES = frozenset({"done", "failed"})
 
 #: HTTP statuses worth retrying: server-side trouble (5xx) and explicit
@@ -216,36 +224,36 @@ class StudyServiceClient:
     # ------------------------------------------------------------------ #
     # Convenience
     # ------------------------------------------------------------------ #
-    def wait(
-        self,
-        job_id: str,
-        timeout: float = 60.0,
-        poll_interval: float = 0.05,
-        max_poll_interval: float = 1.0,
-    ) -> dict:
-        """Poll until the job reaches a terminal state; returns its snapshot.
+    def wait(self, job_id: str, timeout: float = 60.0, poll_interval: float = 0.05) -> dict:
+        """Wait until the job reaches a terminal state; returns its snapshot.
 
-        Polling starts at ``poll_interval`` (low first-poll latency for
-        short jobs) and backs off geometrically to ``max_poll_interval``,
-        so waiting on a long study doesn't hammer the server.  Raises
+        Each round parks on the server's settle event
+        (``?wait=min(remaining, MAX_WAIT_S, timeout/2)``, half the socket
+        timeout so the long-poll never trips it); once that reports the
+        job settled, :meth:`status` reads the terminal snapshot that is
+        returned.  ``poll_interval`` is only the minimum spacing between
+        two rounds on an unsettled job, so a server that answers ``wait``
+        at once (one that predates it) is never spun on.  Raises
         :class:`ServiceError` with the client-side ``client-timeout`` code
         when the deadline expires first (the job keeps running server
         side — a later :meth:`wait` can pick it back up).
         """
         deadline = time.monotonic() + timeout
-        interval = poll_interval
         while True:
-            snapshot = self.status(job_id)
-            if snapshot["state"] in _TERMINAL_STATES:
-                return snapshot
+            started = time.monotonic()
+            wait_s = max(min(deadline - started, MAX_WAIT_S, self.timeout / 2), 0.0)
+            settled = self._get_json(f"/studies/{job_id}?wait={wait_s:.3f}")
+            if settled["state"] in _TERMINAL_STATES:
+                snapshot = self.status(job_id)
+                if snapshot["state"] in _TERMINAL_STATES:
+                    return snapshot
             now = time.monotonic()
             if now >= deadline:
                 raise ServiceError(
                     ERR_TIMEOUT,
-                    f"job {job_id} still {snapshot['state']} after {timeout:g}s",
+                    f"job {job_id} still {settled['state']} after {timeout:g}s",
                 )
-            time.sleep(min(interval, max(deadline - now, 0.0)))
-            interval = min(interval * 2.0, max_poll_interval)
+            time.sleep(min(max(started + poll_interval - now, 0.0), deadline - now))
 
     def run(
         self, spec: ScenarioSpec | dict, timeout: float = 60.0, poll_interval: float = 0.05

@@ -64,6 +64,8 @@ class JobState(str, Enum):
     FAILED = "failed"
 
 
+_TERMINAL_STATES = frozenset({JobState.DONE, JobState.FAILED})
+
 #: The legal transition edges.  Everything else is a programming error.
 _TRANSITIONS: dict[JobState, frozenset[JobState]] = {
     JobState.QUEUED: frozenset({JobState.RUNNING}),
@@ -213,6 +215,10 @@ class JobManager:
         self._jobs: dict[str, Job] = {}
         self._finished_order: deque[str] = deque()
         self._lock = threading.RLock()
+        #: Notified whenever a job settles (done or failed), whenever
+        #: retirement evicts jobs, and by :meth:`stop`: the one event
+        #: :meth:`wait_settled` blocks on.
+        self._settled = threading.Condition(self._lock)
         self._threads: list[threading.Thread] = []
         self._job_workers = job_workers
         self._started = False
@@ -246,11 +252,13 @@ class JobManager:
     def stop(self) -> None:
         """Stop the workers (idle ones exit immediately; busy ones finish
         their current job first).  Queued jobs stay queued — the backlog
-        is *not* executed on the way down."""
+        is *not* executed on the way down.  Pending :meth:`wait_settled`
+        calls return at once with the job's current snapshot."""
         with self._lock:
             threads, self._threads = self._threads, []
             self._started = False
             self._stopping = True
+            self._settled.notify_all()
         try:
             # Drain unstarted jobs so the sentinel puts below cannot block on
             # a full queue and no worker picks up new work (jobs stay QUEUED
@@ -311,6 +319,25 @@ class JobManager:
     def status(self, job_id: str) -> dict | None:
         """Status snapshot of ``job_id``, or ``None`` if unknown."""
         with self._lock:
+            job = self._jobs.get(job_id)
+            return None if job is None else job.snapshot()
+
+    def wait_settled(self, job_id: str, timeout: float) -> dict | None:
+        """Block until ``job_id`` is done or failed, or ``timeout`` seconds pass.
+
+        Returns the job's snapshot at that point (terminal or not), or
+        ``None`` if the job is unknown or is evicted while waiting.  The
+        wait sleeps on the settle condition, never in a poll loop; a
+        manager that is not started returns at once, so :meth:`stop` cuts
+        every pending wait short.
+        """
+
+        def settled_or_gone() -> bool:
+            job = self._jobs.get(job_id)
+            return job is None or job.state in _TERMINAL_STATES or not self._started
+
+        with self._settled:
+            self._settled.wait_for(settled_or_gone, timeout)
             job = self._jobs.get(job_id)
             return None if job is None else job.snapshot()
 
@@ -439,10 +466,12 @@ class JobManager:
                 last_activity = activity
 
     def _retire(self, job: Job) -> None:
-        """Record a finished job and evict beyond the retention bound (locked)."""
+        """Record a settled job, evict beyond the retention bound and wake
+        every :meth:`wait_settled` caller (locked)."""
         self._finished_order.append(job.job_id)
         while len(self._finished_order) > self.max_retained_jobs:
             self._jobs.pop(self._finished_order.popleft(), None)
+        self._settled.notify_all()
 
     # ------------------------------------------------------------------ #
     # Durability

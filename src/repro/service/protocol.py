@@ -16,6 +16,11 @@ GET       ``/studies``                 list every known job (state + timestamps)
                                        oldest submission first — the view that
                                        makes journal recovery observable
 GET       ``/studies/<id>``            job status + per-shard progress
+GET       ``/studies/<id>?wait=S``     the same status body, sent once the job is
+                                       done or failed, or after ``S`` seconds
+                                       (clamped to :data:`MAX_WAIT_S`) if it is
+                                       not; 400 ``invalid-query`` unless ``S`` is
+                                       a finite number ``>= 0``
 GET       ``/studies/<id>/artifact``   the canonical byte-stable results artifact
 GET       ``/backends``                the performance-backend registry
 GET       ``/healthz``                 liveness + job-queue counters (plus the
@@ -35,6 +40,14 @@ server (``cli coordinate`` / ``StudyServer(distributed=True)``); a plain
 job server answers them with 409 ``not-distributed``.  Push bodies are
 raw structured-array shard bytes, not JSON — their size bound is
 :data:`MAX_PUSH_BYTES`, separate from the spec-sized default body limit.
+
+**Completion is pushed, not polled.**  ``?wait=S`` is a bounded long-poll
+served from the job's settle event: the response leaves the moment the
+job settles, so a client learns of completion one round trip after it
+happens instead of on its next poll tick.  A status GET without ``wait``
+is answered at once, exactly as before, so old clients keep working; a
+server that predates ``wait`` ignores the query and answers at once too,
+which is why the client still spaces its reads of an unsettled job.
 
 **Backpressure is advertised.**  A 429 (``queue-full``) response carries
 ``Retry-After: <seconds>`` (:data:`RETRY_AFTER_SECONDS`); the client's
@@ -67,6 +80,7 @@ __all__ = [
     "HEADER_SERVED_FROM_CACHE",
     "ERR_INVALID_JSON",
     "ERR_INVALID_SPEC",
+    "ERR_INVALID_QUERY",
     "ERR_UNKNOWN_BACKEND",
     "ERR_UNKNOWN_JOB",
     "ERR_JOB_NOT_READY",
@@ -86,6 +100,7 @@ __all__ = [
     "HEADER_LEASE_ID",
     "HEADER_WORKER_ID",
     "MAX_PUSH_BYTES",
+    "MAX_WAIT_S",
     "JOB_ID_PATTERN",
     "ServiceError",
     "dump_body",
@@ -110,6 +125,7 @@ HEADER_CACHE_SHARDS = "X-Study-Cache-Shards"
 # Error codes (4xx unless noted).
 ERR_INVALID_JSON = "invalid-json"            # 400: body is not JSON
 ERR_INVALID_SPEC = "invalid-spec"            # 400: JSON is not a valid spec
+ERR_INVALID_QUERY = "invalid-query"          # 400: malformed query parameter (?wait=)
 ERR_UNKNOWN_BACKEND = "unknown-backend"      # 400: backend axis names nobody registered
 ERR_UNKNOWN_JOB = "unknown-job"              # 404: no such job id
 ERR_JOB_NOT_READY = "job-not-ready"          # 409: artifact requested before done
@@ -135,6 +151,10 @@ HEADER_WORKER_ID = "X-Worker-Id"
 #: largest legal shard is DEFAULT_SHARD_SIZE rows of the results dtype
 #: (well under a MB), but custom shard sizes get generous headroom.
 MAX_PUSH_BYTES = 64 << 20
+
+#: Upper bound on one ``GET /studies/<id>?wait=S`` long-poll; larger ``S``
+#: is clamped to it, so no request holds a handler thread for longer.
+MAX_WAIT_S = 10.0
 
 #: Job ids are full hex sha256 digests (see :func:`repro.studies.cache.study_key`).
 JOB_ID_PATTERN = re.compile(r"^[0-9a-f]{64}$")

@@ -12,7 +12,9 @@ is always byte-identical to "compute it again".
 Request handling is thread-per-connection (``ThreadingHTTPServer``);
 everything mutable lives behind the job manager's lock.  Study execution
 never happens on a request thread — requests only enqueue, poll, and
-serve bytes, so a heavy study cannot stall the health endpoint.
+serve bytes, so a heavy study cannot stall the health endpoint.  A
+``?wait=`` status long-poll parks only its own handler thread, on the job
+manager's settle condition.
 
 Embedding in-process (tests, notebooks)::
 
@@ -28,10 +30,12 @@ Standalone (the CLI's ``serve`` subcommand)::
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import parse_qs
 
 from .. import __version__
 from ..backends import DEFAULT_BACKEND, available_backends, capabilities
@@ -45,6 +49,7 @@ from .journal import JobJournal
 from .protocol import (
     API_VERSION,
     ERR_INVALID_JSON,
+    ERR_INVALID_QUERY,
     ERR_INVALID_SPEC,
     ERR_JOB_FAILED,
     ERR_JOB_NOT_READY,
@@ -64,6 +69,7 @@ from .protocol import (
     HEADER_WORKER_ID,
     JOB_ID_PATTERN,
     MAX_PUSH_BYTES,
+    MAX_WAIT_S,
     RETRY_AFTER_SECONDS,
     ServiceError,
     dump_body,
@@ -108,6 +114,26 @@ def _parse_spec(raw: bytes):
         return ScenarioSpec.from_dict(payload)
     except ValidationError as exc:
         raise ServiceError(ERR_INVALID_SPEC, str(exc), status=400) from exc
+
+
+def _wait_seconds(query: str) -> float | None:
+    """The ``wait`` of a status query clamped to :data:`MAX_WAIT_S`, or
+    ``None`` when the query has none; raises :class:`ServiceError` unless
+    it is one finite number ``>= 0``."""
+    values = parse_qs(query, keep_blank_values=True).get("wait")
+    if values is None:
+        return None
+    try:
+        seconds = float(values[0]) if len(values) == 1 else math.nan
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ServiceError(
+            ERR_INVALID_QUERY,
+            f"wait must be one finite number of seconds >= 0, got {values}",
+            status=400,
+        )
+    return min(seconds, MAX_WAIT_S)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -183,7 +209,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self._inject_http_fault():
             return
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        path, _, query = self.path.partition("?")
+        path = path.rstrip("/") or "/"
         if path == "/healthz":
             return self._get_healthz()
         if path == "/backends":
@@ -192,7 +219,7 @@ class _Handler(BaseHTTPRequestHandler):
             return self._get_studies()
         parts = path.strip("/").split("/")
         if parts[0] == "studies" and len(parts) == 2:
-            return self._get_status(parts[1])
+            return self._get_status(parts[1], query)
         if parts[0] == "studies" and len(parts) == 3 and parts[2] == "artifact":
             return self._get_artifact(parts[1])
         self._send_json(404, error_body(ERR_NOT_FOUND, f"no route for {path!r}"))
@@ -382,13 +409,18 @@ class _Handler(BaseHTTPRequestHandler):
             200, {"api_version": API_VERSION, "default": DEFAULT_BACKEND, "backends": entries}
         )
 
-    def _lookup(self, job_id: str) -> dict | None:
-        if not JOB_ID_PATTERN.match(job_id):
-            return None
-        return self.manager.status(job_id)
-
-    def _get_status(self, job_id: str) -> None:
-        snapshot = self._lookup(job_id)
+    def _get_status(self, job_id: str, query: str) -> None:
+        try:
+            wait_s = _wait_seconds(query) if query else None
+        except ServiceError as exc:
+            self._send_error_body(exc)
+            return
+        snapshot = None
+        if JOB_ID_PATTERN.match(job_id):
+            if wait_s is None:
+                snapshot = self.manager.status(job_id)
+            else:
+                snapshot = self.manager.wait_settled(job_id, wait_s)
         if snapshot is None:
             self._send_json(
                 404, error_body(ERR_UNKNOWN_JOB, f"no job with id {job_id!r}")
@@ -562,7 +594,11 @@ class StudyServer:
         return self
 
     def stop(self) -> None:
-        """Shut down the listener and the job workers (in that order)."""
+        """Shut down the listener and the job workers (in that order).
+
+        Stopping the manager wakes every in-flight ``?wait=`` long-poll,
+        which then answers with the job's current status.
+        """
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._serve_thread is not None:

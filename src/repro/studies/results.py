@@ -17,7 +17,6 @@ elasticity maps via :func:`repro.core.sensitivity.elasticity_series`.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -370,12 +369,10 @@ class StudyResults:
         columns: dict[str, list] = {}
         for name, code in RESULT_COLUMNS:
             values = self.table[name]
-            if code.startswith("U"):
-                columns[name] = [str(v) for v in values]
-            elif code == "i8":
-                columns[name] = [int(v) for v in values]
-            else:
-                columns[name] = [None if math.isnan(v) else float(v) for v in values]
+            column = values.tolist()  # str / int / float per dtype, column-wise
+            if code == "f8" and np.isnan(values).any():
+                column = [None if v != v else v for v in column]  # NaN -> null
+            columns[name] = column
         return {
             "schema_version": ARTIFACT_SCHEMA_VERSION,
             "kind": "scenario-study-results",

@@ -107,6 +107,19 @@ class TestCommittedArtifact:
         assert entry["speedup_vs_seed"] >= 0.7
 
 
+    @pytest.mark.perf
+    @pytest.mark.parametrize(
+        ("kernel", "floor"), [("service_roundtrip", 2.0), ("artifact_encode", 1.2)]
+    )
+    def test_committed_service_kernels_meet_floor(self, kernel, floor):
+        """The completion long-poll and the column-wise encoder against the
+        polling client and the row-wise encoder they replaced."""
+        report = json.loads((REPO_ROOT / "BENCH_PERF.json").read_text())
+        entry = report["kernels"][kernel]
+        assert entry["seed_seconds"] is not None
+        assert entry["speedup_vs_seed"] >= floor
+
+
 @pytest.mark.perf
 class TestFullRun:
     def test_full_run_validates_and_reports_speedups(self, tmp_path):

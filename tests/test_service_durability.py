@@ -7,13 +7,15 @@ real ``kill -9`` version lives in ``scripts/ci_check.sh``; here the same
 machinery is pinned in-process (a second manager/server over the first
 one's journal is exactly what a restarted process sees), plus the HTTP
 fault sites, the 429 ``Retry-After`` contract, the client's bounded
-retry, and the backing-off ``wait()`` poll.
+retry, and the ``?wait=`` settle long-poll that ``wait()`` rides on.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -33,7 +35,16 @@ from repro.service import (
     StudyServer,
     StudyServiceClient,
 )
-from repro.service.protocol import ERR_CONNECTION, ERR_QUEUE_FULL, ERR_TIMEOUT
+from repro.service.protocol import (
+    ERR_CONNECTION,
+    ERR_INVALID_QUERY,
+    ERR_QUEUE_FULL,
+    ERR_TIMEOUT,
+    ERR_UNKNOWN_JOB,
+    MAX_WAIT_S,
+    dump_body,
+    job_links,
+)
 from repro.studies import ScenarioSpec, StudyCache, run_study
 
 pytestmark = pytest.mark.faults
@@ -382,24 +393,174 @@ def test_request_timeout_is_validated():
 
 
 # --------------------------------------------------------------------- #
-# wait() poll backoff
+# Settle-wait long-poll (GET /studies/<id>?wait=S)
 # --------------------------------------------------------------------- #
-def test_wait_poll_interval_backs_off_to_the_cap(monkeypatch):
+def get(server: StudyServer, path: str) -> tuple[int, bytes]:
+    """One raw GET exchange: ``(status, body)``."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def error_code(body: bytes) -> str:
+    return json.loads(body)["error"]["code"]
+
+
+def parked_waiters(manager: JobManager) -> int:
+    """Threads currently asleep on the manager's settle condition."""
+    with manager._lock:
+        return len(manager._settled._waiters)
+
+
+def await_parked(manager: JobManager, count: int = 1) -> None:
+    deadline = time.monotonic() + 30.0
+    while parked_waiters(manager) < count:
+        assert time.monotonic() < deadline, "long-poll never parked on the settle event"
+        time.sleep(0.005)
+
+
+def run_queued(manager: JobManager) -> None:
+    """Execute the next queued job on this thread (a ``job_workers=0`` manager)."""
+    manager._run_job(manager._queue.get_nowait())
+
+
+def in_thread(target, *args) -> tuple[threading.Thread, list]:
+    out: list = []
+    thread = threading.Thread(target=lambda: out.append(target(*args)), daemon=True)
+    thread.start()
+    return thread, out
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "", "1&wait=2"])
+def test_wait_query_must_be_one_finite_nonnegative_number(value):
     with StudyServer(job_workers=0) as server:
+        job_id = StudyServiceClient(server.url).submit(SPEC)["job_id"]
+        status, body = get(server, f"/studies/{job_id}?wait={value}")
+        assert status == 400
+        assert error_code(body) == ERR_INVALID_QUERY
+
+
+def test_huge_wait_is_clamped_to_the_protocol_bound(monkeypatch):
+    with StudyServer(job_workers=0) as server:
+        manager = server.manager
+        job_id = StudyServiceClient(server.url).submit(SPEC)["job_id"]
+        asked: list[float] = []
+        monkeypatch.setattr(
+            manager, "wait_settled",
+            lambda job, timeout: (asked.append(timeout), manager.status(job))[1],
+        )
+        status, body = get(server, f"/studies/{job_id}?wait=1e300")
+        assert status == 200 and json.loads(body)["state"] == "queued"
+        assert asked == [MAX_WAIT_S]
+
+
+def test_wait_on_an_unknown_job_is_404_without_waiting():
+    with StudyServer(job_workers=0) as server:
+        start = time.monotonic()
+        status, body = get(server, f"/studies/{'f' * 64}?wait={MAX_WAIT_S}")
+        assert status == 404 and error_code(body) == ERR_UNKNOWN_JOB
+        assert time.monotonic() - start < MAX_WAIT_S / 2
+
+
+def test_wait_settled_wakes_when_the_job_settles():
+    manager = JobManager(job_workers=0)
+    manager.start()
+    job_id = manager.submit(SPEC)[0]["job_id"]
+    waiter, out = in_thread(manager.wait_settled, job_id, 60.0)
+    await_parked(manager)
+    run_queued(manager)
+    waiter.join(30.0)
+    assert not waiter.is_alive()
+    assert out[0]["state"] == "done"
+    manager.stop()
+
+
+def test_job_evicted_mid_wait_is_404():
+    with StudyServer(job_workers=0, max_retained_jobs=1) as server:
+        manager = server.manager
+        client = StudyServiceClient(server.url)
+        first = client.submit(SPEC)["job_id"]
+        client.submit(OTHER_SPEC)
+        waiter, out = in_thread(get, server, f"/studies/{first}?wait={MAX_WAIT_S}")
+        await_parked(manager)
+        start = time.monotonic()
+        # Holding the lock, settle the waited-on job and then a second one,
+        # whose retirement evicts the first before the waiter can look.
+        with manager._lock:
+            run_queued(manager)
+            run_queued(manager)
+        waiter.join(30.0)
+        assert not waiter.is_alive()
+        assert time.monotonic() - start < MAX_WAIT_S / 2
+        status, body = out[0]
+        assert status == 404 and error_code(body) == ERR_UNKNOWN_JOB
+
+
+def test_stop_wakes_an_in_flight_long_poll():
+    server = StudyServer(job_workers=0).start()
+    job_id = StudyServiceClient(server.url).submit(SPEC)["job_id"]
+    waiter, out = in_thread(get, server, f"/studies/{job_id}?wait={MAX_WAIT_S}")
+    await_parked(server.manager)
+    start = time.monotonic()
+    server.stop()
+    waiter.join(30.0)
+    assert not waiter.is_alive()
+    assert time.monotonic() - start < MAX_WAIT_S / 2
+    status, body = out[0]
+    assert status == 200 and json.loads(body)["state"] == "queued"
+
+
+def test_plain_status_get_is_unchanged_and_never_waits(monkeypatch):
+    with StudyServer() as server:
+        manager = server.manager
+        job_id = StudyServiceClient(server.url).run(SPEC).job_id
+        settled = get(server, f"/studies/{job_id}?wait=0")
+
+        def refuse(*args):
+            raise AssertionError("a plain status GET must not wait")
+
+        monkeypatch.setattr(manager, "wait_settled", refuse)
+        status, body = get(server, f"/studies/{job_id}")
+        expected = {"api_version": 1, "links": job_links(job_id), **manager.status(job_id)}
+        assert (status, body) == (200, dump_body(expected))
+        assert settled == (200, body)
+
+
+def request_lines(log: list[str], job_id: str) -> tuple[int, int]:
+    """``(?wait= requests, plain status reads)`` of ``job_id`` in a server log."""
+    waits = sum(f"GET /studies/{job_id}?wait=" in line for line in log)
+    plain = sum(f"GET /studies/{job_id} HTTP" in line for line in log)
+    return waits, plain
+
+
+def test_a_settling_job_costs_one_long_poll_and_one_status_read():
+    log: list[str] = []
+    with StudyServer(log=log.append) as server:
         client = StudyServiceClient(server.url)
         job_id = client.submit(SPEC)["job_id"]
-        sleeps: list[float] = []
-        real_sleep = time.sleep
-        monkeypatch.setattr(
-            "repro.service.client.time.sleep",
-            lambda s: (sleeps.append(s), real_sleep(min(s, 0.01)))[1],
-        )
+        assert client.wait(job_id, timeout=30.0)["state"] == "done"
+        assert request_lines(log, job_id) == (1, 1)
+
+
+def test_wait_never_spins_on_a_server_that_answers_wait_at_once(monkeypatch):
+    # A server predating ?wait= ignores it and answers at once; the client
+    # must then space its rounds by poll_interval instead of spinning.
+    log: list[str] = []
+    with StudyServer(job_workers=0, log=log.append) as server:
+        manager = server.manager
+        monkeypatch.setattr(manager, "wait_settled", lambda job, timeout: manager.status(job))
+        client = StudyServiceClient(server.url)
+        job_id = client.submit(SPEC)["job_id"]
         with pytest.raises(ServiceError) as excinfo:
-            client.wait(job_id, timeout=0.5, poll_interval=0.02, max_poll_interval=0.16)
+            client.wait(job_id, timeout=0.3, poll_interval=0.05)
         assert excinfo.value.code == ERR_TIMEOUT
-        growing = [s for s in sleeps if s in (0.02, 0.04, 0.08, 0.16)]
-        assert growing[:4] == [0.02, 0.04, 0.08, 0.16]  # geometric up to the cap
-        assert max(sleeps) <= 0.16
+        waits, plain = request_lines(log, job_id)
+        assert plain == 0  # the job never settled, so status() was never read
+        assert 1 <= waits <= 0.3 / 0.05 + 2
 
 
 def test_client_constructor_validation():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from repro.core import Stage1Model
 from repro.exceptions import ValidationError
 from repro.studies import ScenarioSpec, StudyResults, run_study
-from repro.studies.results import empty_table
+from repro._json import canonical_line
+from repro.studies.results import RESULT_COLUMNS, empty_table
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,26 @@ class TestArtifactRoundTrip:
 
     def test_nan_serializes_as_null(self, results):
         assert "NaN" not in results.to_json()
+
+    def test_columns_match_the_cell_by_cell_reference(self, results):
+        # The column-wise encoder against the per-cell conversion it
+        # replaced, on a table with a partly-NaN column and a -0.0.
+        table = results.table.copy()
+        table["total_s"][::7] = np.nan
+        table["stage1_s"][3] = -0.0
+        mixed = StudyResults(spec=results.spec, table=table)
+        reference = {}
+        for name, code in RESULT_COLUMNS:
+            values = mixed.table[name]
+            if code.startswith("U"):
+                reference[name] = [str(v) for v in values]
+            elif code == "i8":
+                reference[name] = [int(v) for v in values]
+            else:
+                reference[name] = [None if math.isnan(v) else float(v) for v in values]
+        columns = mixed.to_dict()["columns"]
+        assert canonical_line(columns) == canonical_line(reference)
+        assert columns["total_s"][0] is None and columns["total_s"][1] is not None
 
 
 class TestSlicing:
