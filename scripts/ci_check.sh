@@ -19,6 +19,30 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # suite).  Raise it as coverage grows; never lower it to make a PR pass.
 COVERAGE_FLOOR=85
 
+# start_service LOG NAME CMD...: run CMD in the background with its output
+# in LOG and wait until it prints its bound URL.  Sets BG_PID and BG_URL;
+# fails the gate (naming the process NAME) if CMD exits first or never
+# reports a URL.
+start_service() {
+    local log="$1" name="$2"
+    shift 2
+    "$@" > "$log" 2>&1 &
+    BG_PID=$!
+    BG_URL=""
+    for _ in $(seq 1 100); do
+        BG_URL="$(grep -oE 'http://[0-9.]+:[0-9]+' "$log" | head -1 || true)"
+        [[ -n "$BG_URL" ]] && return 0
+        kill -0 "$BG_PID" 2>/dev/null || {
+            echo "ERROR: $name exited during startup:" >&2
+            cat "$log" >&2; exit 1; }
+        sleep 0.1
+    done
+    echo "ERROR: $name never reported its URL:" >&2
+    cat "$log" >&2
+    kill "$BG_PID" 2>/dev/null || true
+    exit 1
+}
+
 echo "== bytecode compile gate =="
 # Every module under src/ must at least compile: import-time syntax errors
 # in rarely-exercised corners fail here, before any test tier runs.
@@ -94,23 +118,11 @@ echo "== study service smoke =="
 # study through it, and hold the served artifact to the same standard as the
 # cache smoke: byte-identical to a direct `cli study` of the same spec, with
 # the second submission answered from the job table without re-execution.
-SERVICE_LOG="$CACHE_SCRATCH/serve.log"
-python -m repro.cli serve --port 0 --quiet \
-    --cache "$CACHE_SCRATCH/service-cache" > "$SERVICE_LOG" 2>&1 &
-SERVICE_PID=$!
+start_service "$CACHE_SCRATCH/serve.log" "study service" \
+    python -m repro.cli serve --port 0 --quiet \
+    --cache "$CACHE_SCRATCH/service-cache"
+SERVICE_PID=$BG_PID SERVICE_URL=$BG_URL
 trap 'kill "$SERVICE_PID" 2>/dev/null || true; rm -rf "$CACHE_SCRATCH"' EXIT
-SERVICE_URL=""
-for _ in $(seq 1 100); do
-    SERVICE_URL="$(grep -oE 'http://[0-9.]+:[0-9]+' "$SERVICE_LOG" | head -1 || true)"
-    [[ -n "$SERVICE_URL" ]] && break
-    kill -0 "$SERVICE_PID" 2>/dev/null || {
-        echo "ERROR: study service exited during startup:" >&2
-        cat "$SERVICE_LOG" >&2; exit 1; }
-    sleep 0.1
-done
-[[ -n "$SERVICE_URL" ]] || {
-    echo "ERROR: study service never reported its URL:" >&2
-    cat "$SERVICE_LOG" >&2; exit 1; }
 submit_smoke_study() {
     python -m repro.cli submit --url "$SERVICE_URL" \
         --lps 1:11 --accuracy 0.9,0.99 --backend closed_form,aspen,des \
@@ -165,24 +177,12 @@ echo "== service chaos smoke (journal + kill -9 + connection reset) =="
 # reset, which the client's default retry budget must absorb silently.
 JOURNAL="$CACHE_SCRATCH/journal.jsonl"
 CHAOS_LOG="$CACHE_SCRATCH/serve-chaos.log"
-REPRO_FAULTS='{"rules":[{"site":"http-connection","times":1}]}' \
+start_service "$CHAOS_LOG" "chaos study service" \
+    env REPRO_FAULTS='{"rules":[{"site":"http-connection","times":1}]}' \
     python -m repro.cli serve --port 0 --quiet \
-    --cache "$CACHE_SCRATCH/chaos-service-cache" --journal "$JOURNAL" \
-    > "$CHAOS_LOG" 2>&1 &
-CHAOS_PID=$!
+    --cache "$CACHE_SCRATCH/chaos-service-cache" --journal "$JOURNAL"
+CHAOS_PID=$BG_PID CHAOS_URL=$BG_URL
 trap 'kill "$SERVICE_PID" "$CHAOS_PID" 2>/dev/null || true; rm -rf "$CACHE_SCRATCH"' EXIT
-CHAOS_URL=""
-for _ in $(seq 1 100); do
-    CHAOS_URL="$(grep -oE 'http://[0-9.]+:[0-9]+' "$CHAOS_LOG" | head -1 || true)"
-    [[ -n "$CHAOS_URL" ]] && break
-    kill -0 "$CHAOS_PID" 2>/dev/null || {
-        echo "ERROR: chaos study service exited during startup:" >&2
-        cat "$CHAOS_LOG" >&2; exit 1; }
-    sleep 0.1
-done
-[[ -n "$CHAOS_URL" ]] || {
-    echo "ERROR: chaos study service never reported its URL:" >&2
-    cat "$CHAOS_LOG" >&2; exit 1; }
 submit_chaos_study() {
     python -m repro.cli submit --url "$1" \
         --lps 1:11 --accuracy 0.9,0.99 --backend closed_form,aspen,des \
@@ -192,19 +192,10 @@ submit_chaos_study() {
 submit_chaos_study "$CHAOS_URL" "$CACHE_SCRATCH/chaos-served.json" > /dev/null
 kill -9 "$CHAOS_PID" 2>/dev/null || true
 wait "$CHAOS_PID" 2>/dev/null || true
-python -m repro.cli serve --port 0 --quiet \
-    --cache "$CACHE_SCRATCH/chaos-service-cache" --journal "$JOURNAL" \
-    > "$CHAOS_LOG" 2>&1 &
-CHAOS_PID=$!
-CHAOS_URL=""
-for _ in $(seq 1 100); do
-    CHAOS_URL="$(grep -oE 'http://[0-9.]+:[0-9]+' "$CHAOS_LOG" | head -1 || true)"
-    [[ -n "$CHAOS_URL" ]] && break
-    kill -0 "$CHAOS_PID" 2>/dev/null || {
-        echo "ERROR: restarted study service exited during startup:" >&2
-        cat "$CHAOS_LOG" >&2; exit 1; }
-    sleep 0.1
-done
+start_service "$CHAOS_LOG" "restarted study service" \
+    python -m repro.cli serve --port 0 --quiet \
+    --cache "$CACHE_SCRATCH/chaos-service-cache" --journal "$JOURNAL"
+CHAOS_PID=$BG_PID CHAOS_URL=$BG_URL
 grep -q "1 job(s) recovered" "$CHAOS_LOG" || {
     echo "ERROR: restarted server did not recover the journaled job:" >&2
     cat "$CHAOS_LOG" >&2; exit 1; }
@@ -221,25 +212,12 @@ echo "== distributed smoke (coordinator + 2 workers + kill -9) =="
 # SIGKILLed mid-study so its lease has to expire and requeue — must serve
 # an artifact byte-identical to a single-process `cli study` of the same
 # spec.  The short --lease-ttl keeps the requeue path fast.
-DIST_LOG="$CACHE_SCRATCH/coordinate.log"
-python -m repro.cli coordinate --port 0 --quiet \
+start_service "$CACHE_SCRATCH/coordinate.log" "shard coordinator" \
+    python -m repro.cli coordinate --port 0 --quiet \
     --cache "$CACHE_SCRATCH/dist-cache" \
-    --shard-size 3 --lease-ttl 2 --scheduler work-stealing \
-    > "$DIST_LOG" 2>&1 &
-DIST_PID=$!
+    --shard-size 3 --lease-ttl 2 --scheduler work-stealing
+DIST_PID=$BG_PID DIST_URL=$BG_URL
 trap 'kill "$SERVICE_PID" "$CHAOS_PID" "$DIST_PID" 2>/dev/null || true; rm -rf "$CACHE_SCRATCH"' EXIT
-DIST_URL=""
-for _ in $(seq 1 100); do
-    DIST_URL="$(grep -oE 'http://[0-9.]+:[0-9]+' "$DIST_LOG" | head -1 || true)"
-    [[ -n "$DIST_URL" ]] && break
-    kill -0 "$DIST_PID" 2>/dev/null || {
-        echo "ERROR: shard coordinator exited during startup:" >&2
-        cat "$DIST_LOG" >&2; exit 1; }
-    sleep 0.1
-done
-[[ -n "$DIST_URL" ]] || {
-    echo "ERROR: shard coordinator never reported its URL:" >&2
-    cat "$DIST_LOG" >&2; exit 1; }
 python -m repro.cli worker --coordinator "$DIST_URL" --id ci-w0 --poll 0.05 \
     > "$CACHE_SCRATCH/worker0.log" 2>&1 &
 WORKER0_PID=$!

@@ -59,7 +59,6 @@ __all__ = [
 _LAZY = {
     "ShardCoordinator": "coordinator",
     "CoordinatorStats": "coordinator",
-    "StudyHandle": "coordinator",
     "ShardWorker": "worker",
     "WorkerStats": "worker",
     "HttpCoordinatorTransport": "worker",

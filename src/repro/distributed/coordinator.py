@@ -54,7 +54,7 @@ import hashlib
 import threading
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -95,16 +95,7 @@ class CoordinatorStats:
     cache_served_shards: int = 0  # shards served by the registration pre-pass
 
     def as_dict(self) -> dict:
-        return {
-            "leases_granted": self.leases_granted,
-            "steals": self.steals,
-            "requeues": self.requeues,
-            "worker_failures": self.worker_failures,
-            "duplicate_pushes": self.duplicate_pushes,
-            "rejected_pushes": self.rejected_pushes,
-            "inline_shards": self.inline_shards,
-            "cache_served_shards": self.cache_served_shards,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -275,7 +266,7 @@ class ShardCoordinator:
         """One shard descriptor for ``worker_id``, or None when idle.
 
         The descriptor is self-describing — spec payload, shard range,
-        shard_size, vectorize flag, coordinator-owned attempt number —
+        shard_size, coordinator-owned attempt number —
         everything ``_run_shard`` needs, so workers hold no per-study
         state between pulls.
         """
@@ -315,7 +306,6 @@ class ShardCoordinator:
                     "start": start,
                     "stop": stop,
                     "shard_size": run.shard_size,
-                    "vectorize": run.vectorize,
                     "attempt": lease.attempt,
                     "ttl_s": self.lease_ttl_s,
                     "spec": run.payload,

@@ -4,8 +4,8 @@ A :class:`ShardWorker` is the distributed counterpart of one ProcessPool
 worker: it runs the *same* top-level ``_run_shard`` the pool path runs,
 so the bytes it pushes are the bytes a local run would have written.
 Everything study-specific arrives in the lease descriptor (spec payload,
-shard range, shard_size, vectorize flag, coordinator-owned attempt
-number); the worker holds no state between pulls beyond its identity.
+shard range, shard_size, coordinator-owned attempt number); the worker
+holds no state between pulls beyond its identity.
 
 Transport is pluggable: hand it a :class:`ShardCoordinator` directly
 (in-process topology tests) or an :class:`HttpCoordinatorTransport`
@@ -26,10 +26,8 @@ import hashlib
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .._json import canonical_line
 from .._rng import spawn_stream
@@ -41,6 +39,16 @@ from ..faults import (
     SITE_WORKER_PUSH,
     FaultInjected,
     FaultPlan,
+)
+from ..service.protocol import (
+    ERR_SHARD_REJECTED,
+    HEADER_LEASE_ID,
+    HEADER_SHARD_DIGEST,
+    HEADER_SHARD_INDEX,
+    HEADER_SHARD_STUDY,
+    HEADER_WORKER_ID,
+    ServiceError,
+    exchange,
 )
 from ..studies.executor import _WORKER_DEATH_EXIT, RetryPolicy, _run_shard
 
@@ -66,16 +74,7 @@ class WorkerStats:
     died: bool = False          # the loop ended via an injected worker death
 
     def as_dict(self) -> dict:
-        return {
-            "pulls": self.pulls,
-            "empty_pulls": self.empty_pulls,
-            "shards_completed": self.shards_completed,
-            "duplicate_pushes": self.duplicate_pushes,
-            "pull_faults": self.pull_faults,
-            "push_faults": self.push_faults,
-            "eval_failures": self.eval_failures,
-            "died": self.died,
-        }
+        return asdict(self)
 
 
 class HttpCoordinatorTransport:
@@ -107,14 +106,6 @@ class HttpCoordinatorTransport:
         worker_id: str = "",
         lease_id: str | None = None,
     ) -> dict:
-        from ..service.protocol import (
-            HEADER_LEASE_ID,
-            HEADER_SHARD_DIGEST,
-            HEADER_SHARD_INDEX,
-            HEADER_SHARD_STUDY,
-            HEADER_WORKER_ID,
-        )
-
         headers = {
             "Content-Type": "application/octet-stream",
             HEADER_SHARD_STUDY: study_id,
@@ -136,41 +127,28 @@ class HttpCoordinatorTransport:
     def _post_json(
         self, path: str, data: bytes, headers: dict[str, str] | None = None
     ) -> dict:
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=data,
-            headers={"Content-Type": "application/json", **(headers or {})},
-            method="POST",
-        )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read() or b"{}")
-        except urllib.error.HTTPError as exc:
-            payload = self._error_payload(exc)
-            code = payload.get("code", "")
-            if code == "shard-rejected":
-                raise PushRejected(
-                    payload.get("reason", "rejected"), payload.get("message", str(exc))
-                ) from exc
-            if exc.code in (404, 409, 400):
+            _, _, body = exchange(
+                f"{self.base_url}{path}",
+                "POST",
+                data,
+                {"Content-Type": "application/json", **(headers or {})},
+                self.timeout,
+            )
+            payload = json.loads(body or b"{}")
+        except ServiceError as exc:
+            if exc.code == ERR_SHARD_REJECTED:
+                raise PushRejected(exc.details.get("reason", "rejected"), exc.message) from exc
+            if exc.status in (400, 404, 409):
                 raise ValidationError(
-                    f"coordinator rejected {path}: "
-                    f"[{code or exc.code}] {payload.get('message', exc.reason)}"
+                    f"coordinator rejected {path}: [{exc.code}] {exc.message}"
                 ) from exc
-            raise DistributedError(
-                f"coordinator error on {path}: HTTP {exc.code} {exc.reason}"
-            ) from exc
-        except (urllib.error.URLError, TimeoutError, ConnectionError, OSError) as exc:
-            raise DistributedError(
-                f"coordinator unreachable on {path}: {exc}"
-            ) from exc
-
-    @staticmethod
-    def _error_payload(exc: urllib.error.HTTPError) -> dict:
-        try:
-            return json.loads(exc.read() or b"{}").get("error", {})
-        except (json.JSONDecodeError, OSError):  # pragma: no cover - defensive
-            return {}
+            raise DistributedError(f"coordinator failed on {path}: {exc}") from exc
+        except ValueError as exc:
+            raise DistributedError(f"coordinator sent a non-JSON body on {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise DistributedError(f"coordinator sent a non-object body on {path}")
+        return payload
 
 
 class ShardWorker:
@@ -311,7 +289,7 @@ class ShardWorker:
                 int(lease["start"]),
                 int(lease["stop"]),
                 int(lease["shard_size"]),
-                bool(lease.get("vectorize", True)),
+                True,
             )
         except Exception as exc:  # noqa: BLE001 - report, don't crash the loop
             self.stats.eval_failures += 1

@@ -55,7 +55,7 @@ import json
 import os
 import threading
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .._rng import spawn_stream
 from ..exceptions import ReproError, ValidationError
@@ -268,16 +268,7 @@ class FaultStats:
     cache_write_faults: int = 0    # cache stores that failed (results kept anyway)
 
     def as_dict(self) -> dict:
-        return {
-            "shard_failures": self.shard_failures,
-            "shard_retries": self.shard_retries,
-            "recovered_shards": self.recovered_shards,
-            "worker_deaths": self.worker_deaths,
-            "pool_restarts": self.pool_restarts,
-            "degraded_inline_shards": self.degraded_inline_shards,
-            "cache_read_faults": self.cache_read_faults,
-            "cache_write_faults": self.cache_write_faults,
-        }
+        return asdict(self)
 
     @property
     def clean(self) -> bool:

@@ -1,12 +1,12 @@
 """Stdlib client for the study job service.
 
-A thin, dependency-free wrapper over ``urllib.request`` speaking the wire
-protocol of :mod:`repro.service.protocol`: submit a spec, wait for its
-job, fetch the canonical artifact.  Every structured error the server returns
-is raised as :class:`~repro.service.protocol.ServiceError` carrying the
-machine-readable code, so callers dispatch on ``exc.code`` instead of
-parsing message text; transport failures raise the same type with the
-client-side ``connection-failed`` code.
+A thin, dependency-free wrapper over :func:`repro.service.protocol.exchange`
+speaking the wire protocol of :mod:`repro.service.protocol`: submit a spec,
+wait for its job, fetch the canonical artifact.  Every structured error the
+server returns is raised as :class:`~repro.service.protocol.ServiceError`
+carrying the machine-readable code, so callers dispatch on ``exc.code``
+instead of parsing message text; transport failures raise the same type
+with the client-side ``connection-failed`` code.
 
 Transient failures are retried with bounded exponential backoff:
 connection failures, 5xx responses, and 429 (honoring the server's
@@ -34,11 +34,8 @@ fetch in one call::
 
 from __future__ import annotations
 
-import http.client
 import json
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 from ..studies import ScenarioSpec, StudyResults
@@ -49,6 +46,7 @@ from .protocol import (
     HEADER_SERVED_FROM_CACHE,
     MAX_WAIT_S,
     ServiceError,
+    exchange,
 )
 
 __all__ = ["ArtifactResponse", "StudyServiceClient"]
@@ -146,37 +144,7 @@ class StudyServiceClient:
         if payload is not None:
             data = json.dumps(payload, sort_keys=True).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.status, dict(response.headers), response.read()
-        except urllib.error.HTTPError as exc:
-            body = exc.read()
-            try:
-                error = json.loads(body)["error"]
-                code, message = error["code"], error["message"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                code, message = "http-error", body.decode("utf-8", "replace").strip()
-            try:
-                retry_after = float(exc.headers.get("Retry-After"))
-            except (TypeError, ValueError):
-                retry_after = None
-            raise ServiceError(
-                code, message, status=exc.code, retry_after=retry_after
-            ) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                ERR_CONNECTION, f"cannot reach {self.base_url}: {exc.reason}"
-            ) from exc
-        except (TimeoutError, http.client.HTTPException, OSError) as exc:
-            # urlopen only wraps *connect*-phase failures in URLError; a
-            # socket that times out or drops mid-response raises raw
-            # socket/http.client errors.  Same structured type either way.
-            raise ServiceError(
-                ERR_CONNECTION, f"transport failure talking to {self.base_url}: {exc!r}"
-            ) from exc
+        return exchange(f"{self.base_url}{path}", method, data, headers, self.timeout)
 
     def _get_json(self, path: str) -> dict:
         _, _, body = self._request("GET", path)

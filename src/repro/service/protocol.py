@@ -65,11 +65,21 @@ an artifact response can be cached forever under its id.
 
 (plus optional detail fields), with the code drawn from the ``ERR_*``
 constants below.  Clients dispatch on the code, never on message text.
+
+**One exchange per side.**  The server renders every error through
+:func:`error_body` in one dispatcher; every client-side round trip — the
+study client's and the worker transport's — goes through
+:func:`exchange`, which decodes that body back into a
+:class:`ServiceError`.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import re
+import urllib.error
+import urllib.request
 
 from .._json import canonical_line
 
@@ -105,6 +115,7 @@ __all__ = [
     "ServiceError",
     "dump_body",
     "error_body",
+    "exchange",
     "job_links",
 ]
 
@@ -167,7 +178,8 @@ class ServiceError(Exception):
     human ``message``, and the HTTP ``status`` (0 for client-side errors
     that never reached the server, e.g. connection failures).
     ``retry_after`` is the server's Retry-After hint in seconds, when the
-    response carried one (429 does).
+    response carried one (429 does).  Keyword ``details`` (``reason``,
+    ``job_error``, ``state``) are the error body's extra fields.
     """
 
     def __init__(
@@ -176,12 +188,14 @@ class ServiceError(Exception):
         message: str,
         status: int = 0,
         retry_after: float | None = None,
+        **details,
     ) -> None:
         super().__init__(f"[{code}] {message}")
         self.code = code
         self.message = message
         self.status = status
         self.retry_after = retry_after
+        self.details = details
 
 
 def error_body(code: str, message: str, **details) -> dict:
@@ -203,3 +217,47 @@ def job_links(job_id: str) -> dict:
         "status": f"/studies/{job_id}",
         "artifact": f"/studies/{job_id}/artifact",
     }
+
+
+def exchange(
+    url: str,
+    method: str = "GET",
+    data: bytes | None = None,
+    headers: dict[str, str] | None = None,
+    timeout: float = 30.0,
+) -> tuple[int, dict, bytes]:
+    """One HTTP round trip: ``(status, headers, body)`` of a 2xx response.
+
+    Any other status raises :class:`ServiceError` with the error body's
+    code, message and details (code ``http-error`` and the raw text when
+    the body is not the structured format), the status and any
+    Retry-After hint.  A failure to connect, a timeout, or a response that
+    breaks off mid-way raises it with code ``connection-failed``.
+    """
+    request = urllib.request.Request(url, data=data, headers=headers or {}, method=method)
+    try:
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                return response.status, dict(response.headers), response.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                status, retry_after, body = exc.code, exc.headers.get("Retry-After"), exc.read()
+    except urllib.error.URLError as exc:
+        raise ServiceError(ERR_CONNECTION, f"cannot reach {url}: {exc.reason}") from exc
+    except (http.client.HTTPException, OSError) as exc:
+        # urlopen only wraps *connect*-phase failures in URLError; a socket
+        # that times out or drops mid-response raises raw socket/http.client
+        # errors.  Same structured type either way.
+        raise ServiceError(
+            ERR_CONNECTION, f"transport failure talking to {url}: {exc!r}"
+        ) from exc
+    try:
+        details = dict(json.loads(body)["error"])
+        code, message = details.pop("code"), details.pop("message")
+    except (ValueError, KeyError, TypeError):
+        code, message, details = "http-error", body.decode("utf-8", "replace").strip(), {}
+    try:
+        retry_after = float(retry_after)
+    except (TypeError, ValueError):
+        retry_after = None
+    raise ServiceError(code, message, status=status, retry_after=retry_after, **details)

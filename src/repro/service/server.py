@@ -83,6 +83,11 @@ __all__ = ["StudyServer"]
 #: bigger is a mistake or abuse, not a study).
 MAX_BODY_BYTES = 1 << 20
 
+#: ``serve_forever``'s shutdown poll: ``stop()`` waits up to this long for
+#: the listener loop to notice (the stdlib default of 0.5 s made every stop
+#: cost half a second).
+_SERVE_POLL_S = 0.05
+
 
 def _parse_spec(raw: bytes):
     """Decode and validate a submitted spec; raises :class:`ServiceError`."""
@@ -136,6 +141,10 @@ def _wait_seconds(query: str) -> float | None:
     return min(seconds, MAX_WAIT_S)
 
 
+def _unknown_job(job_id: str) -> ServiceError:
+    return ServiceError(ERR_UNKNOWN_JOB, f"no job with id {job_id!r}", status=404)
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests to the owning server's job manager."""
 
@@ -184,31 +193,66 @@ class _Handler(BaseHTTPRequestHandler):
         if log is not None:
             log(f"{self.address_string()} - {format % args}")
 
-    def _send_json(
-        self, status: int, payload: dict, extra_headers: dict[str, str] | None = None
-    ) -> None:
-        self._send_bytes(status, dump_body(payload), extra_headers)
-
-    def _send_bytes(
-        self, status: int, body: bytes, extra_headers: dict[str, str] | None = None
-    ) -> None:
+    def _dispatch(self, route) -> None:
+        """Answer one request: ``route()`` returns ``(status, body,
+        headers)`` (a dict body is sent as canonical JSON) or raises
+        :class:`ServiceError`, which is rendered here and only here."""
+        if self._inject_http_fault():
+            return
+        try:
+            status, body, headers = route()
+        except ServiceError as exc:
+            status = exc.status
+            body = error_body(exc.code, exc.message, **exc.details)
+            # 429 advertises when to come back; the client's retry loop honors it.
+            headers = {"Retry-After": str(RETRY_AFTER_SECONDS)} if status == 429 else {}
+        if isinstance(body, dict):
+            body = dump_body(body)
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
+        for name, value in headers.items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_body(self, exc: ServiceError, **details) -> None:
-        # 429 advertises when to come back; the client's retry loop honors it.
-        extra = {"Retry-After": str(RETRY_AFTER_SECONDS)} if exc.status == 429 else None
-        self._send_bytes(exc.status, dump_body(error_body(exc.code, exc.message, **details)), extra)
+    def _read_body(self, limit: int = MAX_BODY_BYTES) -> bytes:
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= limit:
+            raise ServiceError(
+                ERR_INVALID_JSON,
+                f"Content-Length must be between 0 and {limit} bytes",
+                status=400,
+            )
+        return self.rfile.read(length)
+
+    def _coordinator(self):
+        coordinator = self.server.study_server.coordinator  # type: ignore[attr-defined]
+        if coordinator is None:
+            raise ServiceError(
+                ERR_NOT_DISTRIBUTED,
+                "this server has no shard coordinator; "
+                "start it with distributed dispatch enabled",
+                status=409,
+            )
+        return coordinator
 
     # -- routing -------------------------------------------------------- #
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self._inject_http_fault():
-            return
+        self._dispatch(self._route_get)
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch(self._route_post)
+
+    def _method_not_allowed(self) -> None:
+        self._dispatch(self._refuse_method)
+
+    do_PUT = do_DELETE = do_PATCH = _method_not_allowed
+
+    def _route_get(self):
         path, _, query = self.path.partition("?")
         path = path.rstrip("/") or "/"
         if path == "/healthz":
@@ -222,109 +266,63 @@ class _Handler(BaseHTTPRequestHandler):
             return self._get_status(parts[1], query)
         if parts[0] == "studies" and len(parts) == 3 and parts[2] == "artifact":
             return self._get_artifact(parts[1])
-        self._send_json(404, error_body(ERR_NOT_FOUND, f"no route for {path!r}"))
+        raise ServiceError(ERR_NOT_FOUND, f"no route for {path!r}", status=404)
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self._inject_http_fault():
-            return
+    def _route_post(self):
         path = self.path.split("?", 1)[0].rstrip("/")
+        if path == "/studies":
+            return self._post_study()
         if path == "/distributed/lease":
             return self._post_lease()
         if path == "/distributed/push":
             return self._post_push()
         if path == "/distributed/fail":
             return self._post_fail()
-        if path != "/studies":
-            self._send_json(404, error_body(ERR_NOT_FOUND, f"no route for {path!r}"))
-            return
-        raw = self._read_body()
-        if raw is None:
-            return
-        try:
-            spec = _parse_spec(raw)
-            snapshot, deduplicated = self.manager.submit(spec)
-        except ServiceError as exc:
-            self._send_error_body(exc)
-            return
+        raise ServiceError(ERR_NOT_FOUND, f"no route for {path!r}", status=404)
+
+    def _refuse_method(self):
+        raise ServiceError(
+            ERR_METHOD_NOT_ALLOWED,
+            f"{self.command} is not supported on {self.path!r}",
+            status=405,
+        )
+
+    # -- endpoints ------------------------------------------------------ #
+    def _post_study(self):
+        snapshot, deduplicated = self.manager.submit(_parse_spec(self._read_body()))
         body = {
             "api_version": API_VERSION,
             "deduplicated": deduplicated,
             "links": job_links(snapshot["job_id"]),
             **snapshot,
         }
-        self._send_json(200 if deduplicated else 202, body)
+        return (200 if deduplicated else 202), body, {}
 
-    def _read_body(self, limit: int = MAX_BODY_BYTES) -> bytes | None:
-        """The request body, or None after a 400 was already sent."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if not 0 <= length <= limit:
-            self._send_json(
-                400,
-                error_body(
-                    ERR_INVALID_JSON,
-                    f"Content-Length must be between 0 and {limit} bytes",
-                ),
-            )
-            return None
-        return self.rfile.read(length)
-
-    # -- the distributed worker verbs ----------------------------------- #
-    def _coordinator_or_409(self):
-        coordinator = self.server.study_server.coordinator  # type: ignore[attr-defined]
-        if coordinator is None:
-            self._send_json(
-                409,
-                error_body(
-                    ERR_NOT_DISTRIBUTED,
-                    "this server has no shard coordinator; "
-                    "start it with distributed dispatch enabled",
-                ),
-            )
-        return coordinator
-
-    def _post_lease(self) -> None:
-        coordinator = self._coordinator_or_409()
-        if coordinator is None:
-            return
+    def _post_lease(self):
+        coordinator = self._coordinator()
         raw = self._read_body()
-        if raw is None:
-            return
         try:
             payload = json.loads(raw or b"{}")
             worker_id = payload.get("worker_id", "") if isinstance(payload, dict) else ""
             lease = coordinator.lease(str(worker_id))
         except (json.JSONDecodeError, UnicodeDecodeError, ValidationError) as exc:
-            self._send_json(400, error_body(ERR_INVALID_JSON, str(exc)))
-            return
-        self._send_json(200, {"api_version": API_VERSION, "lease": lease})
+            raise ServiceError(ERR_INVALID_JSON, str(exc), status=400) from exc
+        return 200, {"api_version": API_VERSION, "lease": lease}, {}
 
-    def _post_push(self) -> None:
-        coordinator = self._coordinator_or_409()
-        if coordinator is None:
-            return
+    def _post_push(self):
+        coordinator = self._coordinator()
         raw = self._read_body(limit=MAX_PUSH_BYTES)
-        if raw is None:
-            return
         study_id = self.headers.get(HEADER_SHARD_STUDY, "")
         if not coordinator.has_study(study_id):
-            self._send_json(
-                404,
-                error_body(ERR_UNKNOWN_STUDY, f"no registered study {study_id!r}"),
+            raise ServiceError(
+                ERR_UNKNOWN_STUDY, f"no registered study {study_id!r}", status=404
             )
-            return
         try:
             shard_index = int(self.headers.get(HEADER_SHARD_INDEX, ""))
         except ValueError:
-            self._send_json(
-                400,
-                error_body(
-                    ERR_INVALID_JSON, f"{HEADER_SHARD_INDEX} must be an integer"
-                ),
-            )
-            return
+            raise ServiceError(
+                ERR_INVALID_JSON, f"{HEADER_SHARD_INDEX} must be an integer", status=400
+            ) from None
         try:
             body = coordinator.push(
                 study_id,
@@ -335,64 +333,42 @@ class _Handler(BaseHTTPRequestHandler):
                 lease_id=self.headers.get(HEADER_LEASE_ID),
             )
         except PushRejected as exc:
-            self._send_json(
-                409, error_body(ERR_SHARD_REJECTED, str(exc), reason=exc.reason)
-            )
-            return
+            raise ServiceError(
+                ERR_SHARD_REJECTED, str(exc), status=409, reason=exc.reason
+            ) from exc
         except ValidationError as exc:
-            self._send_json(400, error_body(ERR_INVALID_JSON, str(exc)))
-            return
-        self._send_json(200, {"api_version": API_VERSION, **body})
+            raise ServiceError(ERR_INVALID_JSON, str(exc), status=400) from exc
+        return 200, {"api_version": API_VERSION, **body}, {}
 
-    def _post_fail(self) -> None:
-        coordinator = self._coordinator_or_409()
-        if coordinator is None:
-            return
+    def _post_fail(self):
+        coordinator = self._coordinator()
         raw = self._read_body()
-        if raw is None:
-            return
         try:
             payload = json.loads(raw or b"{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            self._send_json(400, error_body(ERR_INVALID_JSON, str(exc)))
-            return
+        except ValueError as exc:
+            raise ServiceError(ERR_INVALID_JSON, str(exc), status=400) from exc
         lease_id = payload.get("lease_id", "") if isinstance(payload, dict) else ""
         message = payload.get("message", "") if isinstance(payload, dict) else ""
         coordinator.fail(str(lease_id), str(message) or "worker reported failure")
-        self._send_json(200, {"api_version": API_VERSION, "ok": True})
+        return 200, {"api_version": API_VERSION, "ok": True}, {}
 
-    def _method_not_allowed(self) -> None:
-        self._send_json(
-            405,
-            error_body(
-                ERR_METHOD_NOT_ALLOWED, f"{self.command} is not supported on {self.path!r}"
-            ),
-        )
-
-    do_PUT = do_DELETE = do_PATCH = _method_not_allowed
-
-    # -- endpoints ------------------------------------------------------ #
-    def _get_healthz(self) -> None:
+    def _get_healthz(self):
         coordinator = self.server.study_server.coordinator  # type: ignore[attr-defined]
-        self._send_json(
-            200,
-            {
-                "status": "ok",
-                "api_version": API_VERSION,
-                "jobs": self.manager.counts(),
-                "queue_capacity": self.manager.queue_capacity,
-                "recovered_jobs": self.manager.recovered_jobs,
-                "distributed": None if coordinator is None else coordinator.health(),
-            },
-        )
+        body = {
+            "status": "ok",
+            "api_version": API_VERSION,
+            "jobs": self.manager.counts(),
+            "queue_capacity": self.manager.queue_capacity,
+            "recovered_jobs": self.manager.recovered_jobs,
+            "distributed": None if coordinator is None else coordinator.health(),
+        }
+        return 200, body, {}
 
-    def _get_studies(self) -> None:
+    def _get_studies(self):
         jobs = self.manager.list_jobs()
-        self._send_json(
-            200, {"api_version": API_VERSION, "count": len(jobs), "jobs": jobs}
-        )
+        return 200, {"api_version": API_VERSION, "count": len(jobs), "jobs": jobs}, {}
 
-    def _get_backends(self) -> None:
+    def _get_backends(self):
         entries = []
         for name in available_backends():
             caps = capabilities(name)
@@ -405,16 +381,11 @@ class _Handler(BaseHTTPRequestHandler):
                     "supported_axes": sorted(caps.supported_axes),
                 }
             )
-        self._send_json(
-            200, {"api_version": API_VERSION, "default": DEFAULT_BACKEND, "backends": entries}
-        )
+        body = {"api_version": API_VERSION, "default": DEFAULT_BACKEND, "backends": entries}
+        return 200, body, {}
 
-    def _get_status(self, job_id: str, query: str) -> None:
-        try:
-            wait_s = _wait_seconds(query) if query else None
-        except ServiceError as exc:
-            self._send_error_body(exc)
-            return
+    def _get_status(self, job_id: str, query: str):
+        wait_s = _wait_seconds(query) if query else None
         snapshot = None
         if JOB_ID_PATTERN.match(job_id):
             if wait_s is None:
@@ -422,57 +393,38 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 snapshot = self.manager.wait_settled(job_id, wait_s)
         if snapshot is None:
-            self._send_json(
-                404, error_body(ERR_UNKNOWN_JOB, f"no job with id {job_id!r}")
-            )
-            return
-        self._send_json(
-            200, {"api_version": API_VERSION, "links": job_links(job_id), **snapshot}
-        )
+            raise _unknown_job(job_id)
+        return 200, {"api_version": API_VERSION, "links": job_links(job_id), **snapshot}, {}
 
-    def _get_artifact(self, job_id: str) -> None:
+    def _get_artifact(self, job_id: str):
         found = None
         if JOB_ID_PATTERN.match(job_id):
             found = self.manager.artifact(job_id)
         if found is None:
-            self._send_json(
-                404, error_body(ERR_UNKNOWN_JOB, f"no job with id {job_id!r}")
-            )
-            return
+            raise _unknown_job(job_id)
         artifact, snapshot = found
         state = snapshot["state"]
         if state == JobState.FAILED.value:
-            self._send_json(
-                409,
-                error_body(
-                    ERR_JOB_FAILED,
-                    f"job {job_id} failed; see its status error field",
-                    job_error=snapshot["error"],
-                ),
+            raise ServiceError(
+                ERR_JOB_FAILED,
+                f"job {job_id} failed; see its status error field",
+                status=409,
+                job_error=snapshot["error"],
             )
-            return
         if artifact is None:
-            self._send_json(
-                409,
-                error_body(
-                    ERR_JOB_NOT_READY,
-                    f"job {job_id} is {state}; poll its status until done",
-                    state=state,
-                ),
+            raise ServiceError(
+                ERR_JOB_NOT_READY,
+                f"job {job_id} is {state}; poll its status until done",
+                status=409,
+                state=state,
             )
-            return
         progress = snapshot["progress"]
-        self._send_bytes(
-            200,
-            artifact,
-            {
-                "ETag": f'"{job_id}"',
-                HEADER_SERVED_FROM_CACHE: "true" if snapshot["served_from_cache"] else "false",
-                HEADER_CACHE_SHARDS: (
-                    f"{progress['shards_from_cache']}/{progress['shards_total']}"
-                ),
-            },
-        )
+        headers = {
+            "ETag": f'"{job_id}"',
+            HEADER_SERVED_FROM_CACHE: "true" if snapshot["served_from_cache"] else "false",
+            HEADER_CACHE_SHARDS: f"{progress['shards_from_cache']}/{progress['shards_total']}",
+        }
+        return 200, artifact, headers
 
 
 class StudyServer:
@@ -588,7 +540,10 @@ class StudyServer:
         self.manager.start()
         if self._serve_thread is None:
             self._serve_thread = threading.Thread(
-                target=self._httpd.serve_forever, name="study-http-server", daemon=True
+                target=self._httpd.serve_forever,
+                args=(_SERVE_POLL_S,),
+                name="study-http-server",
+                daemon=True,
             )
             self._serve_thread.start()
         return self
@@ -610,7 +565,7 @@ class StudyServer:
         """Serve on the calling thread until interrupted (the CLI path)."""
         self.manager.start()
         try:
-            self._httpd.serve_forever()
+            self._httpd.serve_forever(_SERVE_POLL_S)
         except KeyboardInterrupt:
             pass
         finally:

@@ -220,7 +220,7 @@ def evaluate_lease(lease):
         lease["start"],
         lease["stop"],
         lease["shard_size"],
-        lease["vectorize"],
+        True,
     ).tobytes()
 
 
