@@ -568,7 +568,7 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     from .distributed.worker import HttpCoordinatorTransport, ShardWorker
-    from .exceptions import DistributedError
+    from .exceptions import DistributedError, PushRejected
 
     worker = ShardWorker(
         HttpCoordinatorTransport(args.coordinator),
@@ -582,6 +582,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         stats = worker.run(max_shards=args.max_shards)
     except KeyboardInterrupt:
         stats = worker.stats
+    except PushRejected as exc:
+        # The coordinator refused this worker's bytes: a fault in the
+        # worker, not the end of the coordinator.
+        print(f"push rejected: {exc}", file=sys.stderr, flush=True)
+        return 1
     except DistributedError as exc:
         # The coordinator going away is this process's natural end of life,
         # not a crash: report and exit cleanly.

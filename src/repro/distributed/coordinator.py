@@ -44,7 +44,9 @@ regardless of topology.
 
 The coordinator never computes shards itself (outside ``drain_inline``)
 and holds no wall-clock state in results: all timing lives in leases and
-stats, outside the artifact.
+stats, outside the artifact.  Once closed (:meth:`ShardCoordinator.close`,
+when its server stops) it grants no leases and each ``wait`` drains its
+study inline.
 """
 
 from __future__ import annotations
@@ -171,6 +173,7 @@ class ShardCoordinator:
         self._leases: dict[str, _Lease] = {}
         self._workers: dict[str, int] = {}     # worker_id -> slot (arrival order)
         self._lease_seq = 0
+        self._closed = False
 
     # ------------------------------------------------------------------ #
     # Registration / completion
@@ -237,6 +240,8 @@ class ShardCoordinator:
         run = self._study(study_id).run
         deadline = None if timeout is None else self._clock() + timeout
         while not run.settled.wait(timeout=0.05):
+            if self._closed:
+                self.drain_inline(study_id)
             with self._lock:
                 self._expire()
             if deadline is not None and self._clock() > deadline:
@@ -257,7 +262,7 @@ class ShardCoordinator:
                     f"study {study_id} is incomplete "
                     f"({len(run.done)}/{run.total} shards)"
                 )
-            return StudyResults(spec=run.spec, table=run.table.copy())
+            return StudyResults(spec=run.plan.spec, table=run.table.copy())
 
     # ------------------------------------------------------------------ #
     # The worker-facing verbs
@@ -265,15 +270,16 @@ class ShardCoordinator:
     def lease(self, worker_id: str) -> dict | None:
         """One shard descriptor for ``worker_id``, or None when idle.
 
-        The descriptor is self-describing — spec payload, shard range,
-        shard_size, coordinator-owned attempt number —
-        everything ``_run_shard`` needs, so workers hold no per-study
-        state between pulls.
+        The descriptor is self-describing — spec payload, shard_size,
+        shard index, coordinator-owned attempt number — everything a
+        worker needs to build the study's plan and run the shard.
         """
         if not worker_id:
             raise ValidationError("worker_id must be non-empty")
         with self._lock:
             self._expire()
+            if self._closed:
+                return None
             slot = self._workers.setdefault(worker_id, len(self._workers))
             num_slots = len(self._workers)
             for study_id in self._order:
@@ -298,17 +304,14 @@ class ShardCoordinator:
                 self.stats.leases_granted += 1
                 if stolen:
                     self.stats.steals += 1
-                start, stop = run.ranges[k]
                 return {
                     "lease_id": lease.lease_id,
                     "study_id": study_id,
                     "shard_index": k,
-                    "start": start,
-                    "stop": stop,
-                    "shard_size": run.shard_size,
+                    "shard_size": run.plan.shard_size,
                     "attempt": lease.attempt,
                     "ttl_s": self.lease_ttl_s,
-                    "spec": run.payload,
+                    "spec": run.plan.payload,
                 }
             return None
 
@@ -342,7 +345,7 @@ class ShardCoordinator:
                     f"shard {shard_index} payload hashes to {actual[:12]}..., "
                     f"push declared {str(digest)[:12]}...; shard requeued",
                 )
-            start, stop = run.ranges[shard_index]
+            start, stop = run.plan.ranges[shard_index]
             expected = (stop - start) * table_dtype().itemsize
             if len(data) != expected:
                 self._reject(study, shard_index, lease_id)
@@ -385,6 +388,14 @@ class ShardCoordinator:
         with self._lock:
             self._expire()
         run.drain(plan.to_dict() if plan is not None else None)
+
+    def close(self) -> None:
+        """Stop dispatching, for good: grant no more leases, expire every
+        outstanding one now, and have each :meth:`wait` finish its study
+        inline — a stopping server never waits out a lease TTL."""
+        with self._lock:
+            self._closed = True
+            self._expire()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -512,11 +523,11 @@ class ShardCoordinator:
         study.run.charge(shard_index, reason)
 
     def _expire(self) -> None:
-        """Requeue every lease whose deadline has passed."""
+        """Requeue every lease whose deadline has passed (every lease, once
+        the coordinator is closed)."""
         now = self._clock()
-        for lease_id in [
-            lid for lid, lease in self._leases.items() if lease.deadline < now
-        ]:
+        expired = [lid for lid, ls in self._leases.items() if self._closed or ls.deadline < now]
+        for lease_id in expired:
             lease = self._leases.pop(lease_id)
             self._requeue(
                 lease,

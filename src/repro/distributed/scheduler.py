@@ -11,8 +11,9 @@ Two consumers share the same :class:`Scheduler` objects:
 
 The simulation — not wall-clock measurement — is what keeps the
 topology-independence invariant intact: the columns are a pure function
-of (spec, shard_size, strategy), computable shard-locally, so artifacts
-stay byte-identical whether the study ran inline, on a ProcessPool, or
+of (spec, shard_size, strategy), simulated once per study into its
+:class:`~repro.studies.executor.StudyPlan`, so artifacts stay
+byte-identical whether the study ran inline, on a ProcessPool, or
 across N remote workers.  It is classic list scheduling over a nominal
 :data:`SIM_WORKERS`-slot fleet with per-shard costs from
 :func:`shard_costs` (point counts weighted by fixed per-backend cost
@@ -43,7 +44,6 @@ Strategies
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
@@ -255,35 +255,11 @@ def simulate_schedule(
     )
 
 
-#: Memo for :func:`shard_schedule` — a study re-simulates once per
-#: (grid, shard_size, strategy) per process instead of once per shard.
-_TRACE_CACHE: dict[tuple[str, int, str], ScheduleTrace] = {}
-_TRACE_CACHE_MAX = 64
-_TRACE_LOCK = threading.Lock()
-
-
 def shard_schedule(
     spec: "ScenarioSpec", shard_size: int, scheduler_name: str
 ) -> ScheduleTrace:
-    """The memoized trace the result columns are read from.
-
-    Keyed on the spec's *cache identity* (grid + MC parameters, name
-    excluded) so a relabelled study reuses the trace exactly as it
-    reuses cached shards.
-    """
-    from .._json import canonical_line
-
-    identity = canonical_line(spec.cache_identity())
-    key = (identity, int(shard_size), scheduler_name)
-    with _TRACE_LOCK:
-        trace = _TRACE_CACHE.get(key)
-    if trace is not None:
-        return trace
-    trace = simulate_schedule(
+    """The trace the result columns are read from: ``scheduler_name``
+    simulated over ``spec``'s shard grid on the nominal fleet."""
+    return simulate_schedule(
         shard_costs(spec, shard_size), SIM_WORKERS, scheduler_name
     )
-    with _TRACE_LOCK:
-        if len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
-            _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
-        _TRACE_CACHE[key] = trace
-    return trace

@@ -4,8 +4,10 @@ A :class:`ShardWorker` is the distributed counterpart of one ProcessPool
 worker: it runs the *same* top-level ``_run_shard`` the pool path runs,
 so the bytes it pushes are the bytes a local run would have written.
 Everything study-specific arrives in the lease descriptor (spec payload,
-shard range, shard_size, coordinator-owned attempt number); the worker
-holds no state between pulls beyond its identity.
+shard_size, shard index, coordinator-owned attempt number).  Between
+pulls the worker keeps only its identity and the
+:class:`~repro.studies.executor.StudyPlan` of its last lease, reused
+while the next lease names the same spec payload and shard_size.
 
 Transport is pluggable: hand it a :class:`ShardCoordinator` directly
 (in-process topology tests) or an :class:`HttpCoordinatorTransport`
@@ -50,7 +52,7 @@ from ..service.protocol import (
     ServiceError,
     exchange,
 )
-from ..studies.executor import _WORKER_DEATH_EXIT, RetryPolicy, _run_shard
+from ..studies.executor import _WORKER_DEATH_EXIT, RetryPolicy, StudyPlan, _run_shard
 
 __all__ = ["ShardWorker", "WorkerStats", "HttpCoordinatorTransport"]
 
@@ -207,6 +209,7 @@ class ShardWorker:
         self._clock = clock
         self._sleep = sleep
         self._pull_seq = 0
+        self._plan: StudyPlan | None = None
         # Jitter stream for transport backoff: keyed on nothing study-
         # specific (delays shape timing, never bytes).
         self._rng = spawn_stream(0, _TRANSPORT_DOMAIN)
@@ -216,8 +219,10 @@ class ShardWorker:
         """Pull and evaluate shards until idle/stop/death; returns stats.
 
         ``stop`` is an optional ``threading.Event``-like object checked
-        between shards.  Raises :class:`DistributedError` only when the
-        transport stays down through the whole retry budget.
+        between shards.  Raises :class:`DistributedError` when the
+        transport stays down through the whole retry budget, and its
+        subclass :class:`PushRejected` at once when the coordinator
+        refuses a pushed shard.
         """
         completed = 0
         last_work = self._clock()
@@ -283,14 +288,7 @@ class ShardWorker:
                 self._fail(lease, f"injected shard-eval failure (attempt {attempt})")
                 return True
         try:
-            shard = _run_shard(
-                lease["spec"],
-                k,
-                int(lease["start"]),
-                int(lease["stop"]),
-                int(lease["shard_size"]),
-                True,
-            )
+            shard = _run_shard(self._plan_for(lease), k, True)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the loop
             self.stats.eval_failures += 1
             self._fail(lease, f"evaluation raised: {exc!r}")
@@ -299,6 +297,17 @@ class ShardWorker:
         digest = hashlib.sha256(data).hexdigest()
         self._push(lease, data, digest)
         return True
+
+    def _plan_for(self, lease: dict) -> StudyPlan:
+        """The lease's study plan: the last one while it names the same
+        spec payload and shard_size, else a fresh decode.  Keyed on the
+        payload, not the study id, which a direct ``register_study``
+        caller may reuse for a different spec."""
+        payload, shard_size = lease["spec"], int(lease["shard_size"])
+        plan = self._plan
+        if plan is None or plan.shard_size != shard_size or plan.payload != payload:
+            plan = self._plan = StudyPlan.decode(payload, shard_size)
+        return plan
 
     def _push(self, lease: dict, data: bytes, digest: str) -> None:
         """One shard push under the worker-push fault site + retries."""
@@ -318,6 +327,11 @@ class ShardWorker:
                     worker_id=self.worker_id,
                     lease_id=lease.get("lease_id"),
                 )
+            except PushRejected:
+                # Verification failed coordinator-side; the shard is
+                # requeued there — nothing useful to retry with the same
+                # bytes, so surface it.  Caught ahead of its base class.
+                raise
             except (FaultInjected, DistributedError) as exc:
                 self.stats.push_faults += 1
                 if attempt + 1 >= self.retry.max_attempts:
@@ -325,11 +339,6 @@ class ShardWorker:
                         f"shard {k} push failed after {attempt + 1} attempts: {exc}"
                     ) from exc
                 self._backoff(attempt)
-            except PushRejected:
-                # Verification failed coordinator-side; the shard is
-                # requeued there — nothing useful to retry with the same
-                # bytes, so surface it (tests inject this deliberately).
-                raise
             else:
                 self.stats.shards_completed += 1
                 if body.get("duplicate"):

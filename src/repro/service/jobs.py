@@ -252,8 +252,11 @@ class JobManager:
     def stop(self) -> None:
         """Stop the workers (idle ones exit immediately; busy ones finish
         their current job first).  Queued jobs stay queued — the backlog
-        is *not* executed on the way down.  Pending :meth:`wait_settled`
-        calls return at once with the job's current snapshot."""
+        is *not* executed on the way down.  A running distributed job does
+        not wait for its fleet: the coordinator is closed, so its leases
+        expire now and its pending shards drain inline.  Pending
+        :meth:`wait_settled` calls return at once with the job's current
+        snapshot."""
         with self._lock:
             threads, self._threads = self._threads, []
             self._started = False
@@ -269,6 +272,8 @@ class JobManager:
                     self._queue.get_nowait()
                 except queue.Empty:
                     break
+            if self.coordinator is not None:
+                self.coordinator.close()
             for _ in threads:
                 self._queue.put(None)
             for thread in threads:

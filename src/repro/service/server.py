@@ -208,13 +208,21 @@ class _Handler(BaseHTTPRequestHandler):
             headers = {"Retry-After": str(RETRY_AFTER_SECONDS)} if status == 429 else {}
         if isinstance(body, dict):
             body = dump_body(body)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json; charset=utf-8")
+            self.send_header("Content-Length", str(len(body)))
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            # The client hung up before its reply was written: there is
+            # no one left to tell, so count it instead of a traceback.
+            self.close_connection = True
+            server = self.server.study_server  # type: ignore[attr-defined]
+            with server._dropped_lock:
+                server.dropped_replies += 1
 
     def _read_body(self, limit: int = MAX_BODY_BYTES) -> bytes:
         try:
@@ -516,6 +524,9 @@ class StudyServer:
             journal=journal,
             coordinator=self.coordinator,
         )
+        #: Replies dropped because the client disconnected first.
+        self.dropped_replies = 0
+        self._dropped_lock = threading.Lock()
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.study_server = self  # type: ignore[attr-defined]

@@ -14,6 +14,9 @@ bytes:
 * **Shard grid before scheduling.**  Shards are contiguous index ranges
   ``[k*shard_size, (k+1)*shard_size)`` derived from ``shard_size`` alone;
   worker count only decides *who* runs a shard, never *what* a shard is.
+  A shard is ``(plan, index)``: the :class:`StudyPlan` holds everything
+  study-level (decoded spec, shard grid, simulated schedule traces) and
+  is built once per study in each process that runs its shards.
 * **Spawn-derived RNG streams.**  The Monte-Carlo column draws from
   ``spawn_stream(spec.seed, shard_index)`` (see ``repro._rng``), keyed on
   the shard's logical index, so any worker count and any shard execution
@@ -94,7 +97,7 @@ from ..faults import (
     FaultPlan,
     FaultStats,
 )
-from ..distributed.scheduler import shard_schedule
+from ..distributed.scheduler import ScheduleTrace, shard_schedule
 from .results import StudyResults, empty_table
 from .spec import EXECUTOR_AXES, ScenarioSpec
 
@@ -104,6 +107,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
 __all__ = [
     "run_study",
     "ShardRun",
+    "StudyPlan",
     "shard_ranges",
     "DEFAULT_SHARD_SIZE",
     "ProgressCallback",
@@ -185,48 +189,71 @@ def _fill_run(out: np.ndarray, cols: SweepColumns) -> None:
     out["repetitions"] = cols.repetitions
 
 
+@dataclass(frozen=True)
+class StudyPlan:
+    """The study-level state every shard of one study reads, derived once.
+
+    The canonical spec payload, the decoded spec, ``shard_size``, the
+    shard grid and one simulated :class:`ScheduleTrace` per ``scheduler``
+    value.  :meth:`decode` is the only constructor; each process that
+    runs a study's shards builds its plan once and evaluates every shard
+    as ``(plan, index)``.
+    """
+
+    payload: dict
+    spec: ScenarioSpec
+    shard_size: int
+    ranges: tuple[tuple[int, int], ...]
+    traces: Mapping[str, ScheduleTrace]
+
+    @classmethod
+    def decode(cls, payload: Mapping, shard_size: int) -> "StudyPlan":
+        spec = ScenarioSpec.from_dict(payload)
+        shard_size = int(shard_size)
+        return cls(
+            payload=spec.to_dict(),
+            spec=spec,
+            shard_size=shard_size,
+            ranges=tuple(shard_ranges(spec.num_points, shard_size)),
+            traces={n: shard_schedule(spec, shard_size, n) for n in spec.axis_values("scheduler")},
+        )
+
+
 def _run_shard(
-    spec_payload: dict,
+    plan: StudyPlan,
     shard_index: int,
-    start: int,
-    stop: int,
-    shard_size: int,
     vectorize: bool,
     faults: Mapping | None = None,
     attempt: int = 0,
     in_worker: bool = False,
 ) -> np.ndarray:
-    """Evaluate points ``[start, stop)`` of the spec into a results table slice.
+    """Evaluate shard ``shard_index`` of ``plan`` into a results table slice.
 
     Top-level (picklable) so process pools — and distributed
     :class:`~repro.distributed.worker.ShardWorker` loops — can run it;
-    reconstructs the spec from its payload dict in the worker and
-    resolves backends from the worker's own registry.  ``shard_size``
-    names the full shard grid (not just this shard's extent): the
-    ``sched_*`` columns are simulated over the whole grid, so every
-    executor must agree on it.  ``faults``/``attempt`` carry the fault
-    plan payload and the parent-owned attempt number across the process
-    boundary (a respawned worker must not reset the fault schedule);
-    ``in_worker`` gates the worker-death site — inline execution raises
-    instead of killing the caller's process.
+    backends resolve from the running process's own registry.
+    ``faults``/``attempt`` carry the fault plan payload and the
+    parent-owned attempt number across the process boundary (a respawned
+    worker must not reset the fault schedule); ``in_worker`` gates the
+    worker-death site — inline execution raises instead of killing the
+    caller's process.
     """
     if faults is not None:
-        plan = FaultPlan.from_dict(faults)
-        if plan.fires(SITE_WORKER_DEATH, key=shard_index, attempt=attempt) is not None:
+        injected = FaultPlan.from_dict(faults)
+        if injected.fires(SITE_WORKER_DEATH, key=shard_index, attempt=attempt) is not None:
             if in_worker:
                 os._exit(_WORKER_DEATH_EXIT)
             raise FaultInjected(
                 f"injected worker death at shard {shard_index}, attempt {attempt} "
                 "(inline execution: raised instead of exiting)"
             )
-        if plan.fires(SITE_SHARD_EVAL, key=shard_index, attempt=attempt) is not None:
+        if injected.fires(SITE_SHARD_EVAL, key=shard_index, attempt=attempt) is not None:
             raise FaultInjected(
                 f"injected shard-eval failure at shard {shard_index}, attempt {attempt}"
             )
-    spec = ScenarioSpec.from_dict(spec_payload)
-    out = empty_table(max(stop - start, 0))
-    if stop <= start:
-        return out
+    spec = plan.spec
+    start, stop = plan.ranges[shard_index]
+    out = empty_table(stop - start)
     mc_rng = spawn_stream(spec.seed, shard_index) if spec.mc_trials > 0 else None
 
     # Touch only the config blocks this shard intersects (random access via
@@ -260,23 +287,19 @@ def _run_shard(
             )
         _fill_run(run, cols)
 
-        # Modeled dispatch columns: the row's strategy simulated over the
-        # study's full shard grid — a pure function of (spec, shard_size),
-        # so any topology writes the same values (memoized per process).
-        # Keyed on each row's own shard (index // shard_size), not on the
-        # shard being evaluated, so any [start, stop) slice of the grid
-        # yields the same bytes as the corresponding full-run rows.
-        trace = shard_schedule(spec, shard_size, config["scheduler"])
-        row_shards = np.arange(lo, hi) // shard_size
-        run["sched_latency_s"] = np.asarray(trace.finish_s)[row_shards]
-        run["sched_steals"] = np.asarray(trace.stolen, dtype=np.int64)[row_shards]
+        # Modeled dispatch columns: this shard's entry in the row's strategy
+        # simulated over the study's full shard grid — a pure function of
+        # (spec, shard_size), so any topology writes the same values.
+        trace = plan.traces[config["scheduler"]]
+        run["sched_latency_s"] = trace.finish_s[shard_index]
+        run["sched_steals"] = trace.stolen[shard_index]
 
         # Contended-workload columns: simulated only for backends that
         # declare the contention axes (the DES runtime).  Each row draws
         # from spawn_stream(seed, CONTENTION_DOMAIN, global_row_index) —
-        # keyed per row, not per shard, so any slice of the grid writes
-        # the same bytes as the corresponding full-run rows.  Other
-        # backends keep the NaN fill from empty_table.
+        # keyed per row, not per shard, so any shard grid writes the same
+        # bytes for a row.  Other backends keep the NaN fill from
+        # empty_table.
         if CONTENTION_AXES <= backend.capabilities.supported_axes:
             contended = contention_columns(
                 model_config, lps_run, range(lo, hi), spec.seed
@@ -297,8 +320,10 @@ def _run_shard(
 class ShardRun:
     """One study's shard state, and the engine every execution path runs on.
 
-    It owns the results table, the pending queue (in ``order``, default
-    ascending), the done set, each shard's attempt count and error
+    Its :attr:`plan` is decoded from ``spec.to_dict()`` once, here — the
+    one construction path the inline loop, the pool and the coordinator
+    share.  It owns the results table, the pending queue (in ``order``,
+    default ascending), the done set, each shard's attempt count and error
     history, the seeded backoff streams, :class:`FaultStats`, the cache
     pre-pass (:meth:`serve_cached`) and the landing path (:meth:`land`:
     table write, then the tolerant cache store, then progress).  Three
@@ -320,15 +345,12 @@ class ShardRun:
         vectorize: bool = True,
         order: Sequence[int] | None = None,
         cache: "StudyCache | None" = None,
-        plan: FaultPlan | None = None,
+        fault_plan: FaultPlan | None = None,
         policy: RetryPolicy | None = None,
         progress: Callable[[int, bool, int, int, "str | None"], None] | None = None,
         lock: threading.RLock | None = None,
     ) -> None:
-        self.spec = spec
-        self.payload = spec.to_dict()
-        self.shard_size = int(shard_size)
-        self.ranges = shard_ranges(spec.num_points, self.shard_size)
+        self.plan = StudyPlan.decode(spec.to_dict(), shard_size)
         self.pending = list(range(self.total)) if order is None else list(order)
         if sorted(self.pending) != list(range(self.total)):
             raise ValidationError(
@@ -338,7 +360,7 @@ class ShardRun:
         self.budget = budget
         self.vectorize = vectorize
         self.cache = cache
-        self.plan = plan
+        self.fault_plan = fault_plan
         self.policy = policy
         self.progress = progress
         self.lock = threading.RLock() if lock is None else lock
@@ -357,15 +379,11 @@ class ShardRun:
 
     @property
     def total(self) -> int:
-        return len(self.ranges)
+        return len(self.plan.ranges)
 
     def shard_args(self, k: int, faults: dict | None, in_worker: bool) -> tuple:
         """``_run_shard`` arguments for shard ``k`` at its current attempt."""
-        start, stop = self.ranges[k]
-        return (
-            self.payload, k, start, stop, self.shard_size, self.vectorize,
-            faults, self.attempts.get(k, 0), in_worker,
-        )
+        return (self.plan, k, self.vectorize, faults, self.attempts.get(k, 0), in_worker)
 
     def take(self) -> int | None:
         """Pop the head of the pending queue (None when empty or failed)."""
@@ -402,7 +420,7 @@ class ShardRun:
         if self.policy is None:
             return 0.0
         if k not in self._rngs:
-            self._rngs[k] = spawn_stream(self.spec.seed, _BACKOFF_DOMAIN, k)
+            self._rngs[k] = spawn_stream(self.plan.spec.seed, _BACKOFF_DOMAIN, k)
         return self.policy.delay(self._rngs[k], self.attempts[k] - 1)
 
     def place(self, k: int, shard: np.ndarray) -> int | None:
@@ -411,7 +429,7 @@ class ShardRun:
         with self.lock:
             if k in self.done:
                 return None
-            start, stop = self.ranges[k]
+            start, stop = self.plan.ranges[k]
             self.table[start:stop] = shard
             self.done.add(k)
             if k in self.errors:
@@ -478,15 +496,14 @@ class ShardRun:
 
     def _load(self, k: int) -> np.ndarray | None:
         """Cache load that degrades every failure mode to a miss."""
-        if self.plan is not None:
-            rule = self.plan.fires_counted(SITE_CACHE_READ, key=k)
+        spec, shard_size = self.plan.spec, self.plan.shard_size
+        if self.fault_plan is not None:
+            rule = self.fault_plan.fires_counted(SITE_CACHE_READ, key=k)
             if rule is not None:
                 self.stats.cache_read_faults += 1
                 if rule.effect == "corrupt":
                     # Tear the stored entry; the real loader must detect and miss.
-                    path = self.cache.shard_path(
-                        self.cache.shard_key(self.spec, self.shard_size, k)
-                    )
+                    path = self.cache.shard_path(self.cache.shard_key(spec, shard_size, k))
                     try:
                         if path.exists():
                             path.write_bytes(path.read_bytes()[:7])
@@ -495,26 +512,26 @@ class ShardRun:
                 else:
                     return None  # simulated unreadable entry
         try:
-            return self.cache.load_shard(self.spec, self.shard_size, k)
+            return self.cache.load_shard(spec, shard_size, k)
         except OSError:  # pragma: no cover - defensive: a broken store is a miss
             self.stats.cache_read_faults += 1
             return None
 
     def _store(self, k: int, shard: np.ndarray) -> None:
         """Cache store that never lets a cache failure lose computed results."""
-        if self.plan is not None:
-            rule = self.plan.fires_counted(SITE_CACHE_WRITE, key=k)
+        if self.fault_plan is not None:
+            rule = self.fault_plan.fires_counted(SITE_CACHE_WRITE, key=k)
             if rule is not None:
                 self.stats.cache_write_faults += 1
                 if rule.effect == "corrupt":
-                    path = self.cache.store_shard(self.spec, self.shard_size, k, shard)
+                    path = self.cache.store_shard(self.plan.spec, self.plan.shard_size, k, shard)
                     try:
                         path.write_bytes(path.read_bytes()[:7])
                     except OSError:  # pragma: no cover - tear failed; entry stays valid
                         pass
                 return  # simulated failed write: the entry never lands
         try:
-            self.cache.store_shard(self.spec, self.shard_size, k, shard)
+            self.cache.store_shard(self.plan.spec, self.plan.shard_size, k, shard)
         except OSError:
             self.stats.cache_write_faults += 1
 
@@ -577,7 +594,7 @@ def run_study(
         vectorize=vectorize,
         order=shard_order,
         cache=cache,
-        plan=plan,
+        fault_plan=plan,
         policy=policy,
         progress=None if progress is None else (
             lambda k, cached, done, total, _worker: progress(k, cached, done, total)

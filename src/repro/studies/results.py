@@ -306,29 +306,6 @@ class StudyResults:
             for name, per_column in self.backend_deviation(reference).items()
         }
 
-    def scheduler_comparison(self) -> dict[str, dict[str, float]]:
-        """Per-strategy summary of the modeled dispatch columns.
-
-        For every scheduler value in the grid: the modeled makespan (max
-        shard completion time), the mean per-row latency, and the number
-        of distinct stolen shards.  This is what a ``scheduler``-axis
-        study exists to compare.
-        """
-        out: dict[str, dict[str, float]] = {}
-        for name in self.spec.axis_values("scheduler"):
-            mask = self.select(scheduler=name)
-            latency = self.column("sched_latency_s")[mask]
-            stolen = self.column("sched_steals")[mask].astype(bool)
-            # Distinct shards, not rows: every row of a shard repeats its
-            # latency, so unique completion times count stolen shards.
-            steals = len(np.unique(latency[stolen])) if stolen.any() else 0
-            out[name] = {
-                "makespan_s": float(np.max(latency)) if latency.size else 0.0,
-                "mean_latency_s": float(np.mean(latency)) if latency.size else 0.0,
-                "stolen_shards": float(steals),
-            }
-        return out
-
     def contention_rows(self) -> np.ndarray:
         """Boolean mask of rows carrying simulated contention metrics.
 

@@ -93,16 +93,14 @@ _NAMED_AXES = {
 EXECUTOR_AXES = frozenset({"scheduler"})
 
 
-def _default_values() -> dict[str, tuple]:
-    """Single-point default for every absent axis (the paper's operating point)."""
-    defaults = {"backend": (DEFAULT_BACKEND,), "scheduler": (DEFAULT_SCHEDULER,)}
-    defaults.update((name, (value,)) for name, value in DEFAULT_OPERATING_POINT.items())
-    return defaults
+#: Single-point default for every absent axis (the paper's operating point).
+_DEFAULT_VALUES = {"backend": (DEFAULT_BACKEND,), "scheduler": (DEFAULT_SCHEDULER,)}
+_DEFAULT_VALUES.update((name, (value,)) for name, value in DEFAULT_OPERATING_POINT.items())
 
 
 def axis_default(name: str):
     """The single default value an absent ``name`` axis collapses to."""
-    values = _default_values().get(name)
+    values = _DEFAULT_VALUES.get(name)
     if values is None:
         raise ValidationError(f"unknown axis {name!r}; valid axes: {AXIS_ORDER}")
     return values[0]
@@ -245,6 +243,11 @@ class ScenarioSpec:
         if not self.name:
             raise ValidationError("study name must be non-empty")
         object.__setattr__(self, "axes", normalized)
+        # The effective grid, derived once: every axis's scan values (the
+        # default for an absent one) and the grid extent along each.
+        values = {n: normalized.get(n) or _DEFAULT_VALUES[n] for n in AXIS_ORDER}
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "shape", tuple(map(len, values.values())))
         if self.num_points > MAX_POINTS:
             raise ValidationError(
                 f"grid has {self.num_points} points, exceeding MAX_POINTS={MAX_POINTS}"
@@ -287,12 +290,7 @@ class ScenarioSpec:
         """The scan values of ``name`` (the single default if absent)."""
         if name not in AXIS_ORDER:
             raise ValidationError(f"unknown axis {name!r}; valid axes: {AXIS_ORDER}")
-        return self.axes.get(name) or (axis_default(name),)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """Grid extent along every canonical axis (one entry per AXIS_ORDER name)."""
-        return tuple(len(self.axis_values(n)) for n in AXIS_ORDER)
+        return self._values[name]
 
     @property
     def num_points(self) -> int:

@@ -22,6 +22,19 @@ class TestParser:
 
 
 class TestCommands:
+    def test_worker_reports_a_rejected_push(self, capsys, monkeypatch):
+        from repro.distributed.worker import ShardWorker
+        from repro.exceptions import PushRejected
+
+        def rejected(self, max_shards=None, stop=None):
+            raise PushRejected("hash-mismatch", "shard 0 payload hashes elsewhere")
+
+        monkeypatch.setattr(ShardWorker, "run", rejected)
+        code = main(["worker", "--coordinator", "http://127.0.0.1:9", "--id", "w0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "push rejected" in err and "coordinator gone" not in err
+
     def test_predict(self, capsys):
         assert main(["predict", "--lps", "30"]) == 0
         out = capsys.readouterr().out

@@ -13,7 +13,7 @@ from repro.distributed import ShardCoordinator
 from repro.exceptions import PushRejected, ShardError, ValidationError
 from repro.faults import SITE_SHARD_EVAL, FaultPlan, FaultRule
 from repro.studies import ScenarioSpec, StudyCache, run_study, study_key
-from repro.studies.executor import _run_shard
+from repro.studies.executor import StudyPlan, _run_shard
 
 
 SPEC = ScenarioSpec(
@@ -37,9 +37,8 @@ def make(clock=None, **kwargs):
     return ShardCoordinator(clock=clock or FakeClock(), **kwargs)
 
 
-def shard_bytes(spec, k, ranges, shard_size):
-    start, stop = ranges[k]
-    data = _run_shard(spec.to_dict(), k, start, stop, shard_size, True).tobytes()
+def shard_bytes(spec, k, shard_size=SHARD_SIZE):
+    data = _run_shard(StudyPlan.decode(spec.to_dict(), shard_size), k, True).tobytes()
     return data, hashlib.sha256(data).hexdigest()
 
 
@@ -51,7 +50,8 @@ class TestLeasing:
         assert lease["study_id"] == sid
         assert lease["shard_size"] == SHARD_SIZE
         assert lease["attempt"] == 0
-        assert (lease["stop"] - lease["start"]) <= SHARD_SIZE
+        assert 0 <= lease["shard_index"] < 4
+        assert "start" not in lease and "stop" not in lease  # the plan has the range
         assert ScenarioSpec.from_dict(lease["spec"]).cache_identity() == (
             SPEC.cache_identity()
         )
@@ -156,10 +156,9 @@ class TestRequeueAccounting:
     def test_rejected_push_bumps_requeue_gauge(self):
         coord = make()
         sid = coord.register_study(SPEC, shard_size=SHARD_SIZE)
-        study = coord._study(sid)
         lease = coord.lease("w0")
         k = lease["shard_index"]
-        data, digest = shard_bytes(SPEC, k, study.run.ranges, SHARD_SIZE)
+        data, digest = shard_bytes(SPEC, k)
         corrupted = bytes([data[0] ^ 0xFF]) + data[1:]
         with pytest.raises(PushRejected):
             coord.push(
@@ -174,14 +173,13 @@ class TestRequeueAccounting:
         # requeue budget and fail the study — never retry forever.
         coord = make(max_requeues=3)
         sid = coord.register_study(SPEC, shard_size=SHARD_SIZE)
-        study = coord._study(sid)
         rejections = 0
         while True:
             lease = coord.lease("w0")
             if lease is None:
                 break
             k = lease["shard_index"]
-            data, digest = shard_bytes(SPEC, k, study.run.ranges, SHARD_SIZE)
+            data, digest = shard_bytes(SPEC, k)
             corrupted = bytes([data[0] ^ 0xFF]) + data[1:]
             with pytest.raises(PushRejected):
                 coord.push(
@@ -205,7 +203,7 @@ class TestRequeueAccounting:
         study = coord._study(sid)
         lease = coord.lease("w0")
         k = lease["shard_index"]
-        data, digest = shard_bytes(SPEC, k, study.run.ranges, SHARD_SIZE)
+        data, digest = shard_bytes(SPEC, k)
         corrupted = bytes([data[0] ^ 0xFF]) + data[1:]
         with pytest.raises(PushRejected):
             coord.push(sid, k, corrupted, digest, worker_id="w1")
@@ -256,7 +254,7 @@ class TestPushVerification:
     def test_verified_push_lands(self):
         lease = self.coord.lease("w0")
         k = lease["shard_index"]
-        data, digest = shard_bytes(SPEC, k, self.study.run.ranges, SHARD_SIZE)
+        data, digest = shard_bytes(SPEC, k)
         out = self.coord.push(
             self.sid, k, data, digest, worker_id="w0", lease_id=lease["lease_id"]
         )
@@ -266,7 +264,7 @@ class TestPushVerification:
     def test_duplicate_push_is_idempotent_accept(self):
         lease = self.coord.lease("w0")
         k = lease["shard_index"]
-        data, digest = shard_bytes(SPEC, k, self.study.run.ranges, SHARD_SIZE)
+        data, digest = shard_bytes(SPEC, k)
         self.coord.push(self.sid, k, data, digest, worker_id="w0")
         before = bytes(self.study.run.table)
         out = self.coord.push(self.sid, k, data, digest, worker_id="w1")
@@ -279,7 +277,7 @@ class TestPushVerification:
     def test_hash_mismatch_rejected_and_requeued(self):
         lease = self.coord.lease("w0")
         k = lease["shard_index"]
-        data, _ = shard_bytes(SPEC, k, self.study.run.ranges, SHARD_SIZE)
+        data, _ = shard_bytes(SPEC, k)
         with pytest.raises(PushRejected, match="hash") as excinfo:
             self.coord.push(
                 self.sid, k, data, "0" * 64,
@@ -295,7 +293,7 @@ class TestPushVerification:
     def test_corrupted_payload_rejected(self):
         lease = self.coord.lease("w0")
         k = lease["shard_index"]
-        data, digest = shard_bytes(SPEC, k, self.study.run.ranges, SHARD_SIZE)
+        data, digest = shard_bytes(SPEC, k)
         corrupted = bytes([data[0] ^ 0xFF]) + data[1:]
         with pytest.raises(PushRejected, match="hash"):
             self.coord.push(self.sid, k, corrupted, digest)
@@ -303,7 +301,7 @@ class TestPushVerification:
     def test_wrong_size_rejected(self):
         lease = self.coord.lease("w0")
         k = lease["shard_index"]
-        data, _ = shard_bytes(SPEC, k, self.study.run.ranges, SHARD_SIZE)
+        data, _ = shard_bytes(SPEC, k)
         short = data[:-8]
         digest = hashlib.sha256(short).hexdigest()
         with pytest.raises(PushRejected, match="bytes") as excinfo:
@@ -344,10 +342,9 @@ class TestInlineAndCache:
         cache = StudyCache(tmp_path / "cache")
         coord = make(cache=cache)
         sid = coord.register_study(SPEC, shard_size=SHARD_SIZE)
-        study = coord._study(sid)
         while (lease := coord.lease("w0")) is not None:
             k = lease["shard_index"]
-            data, digest = shard_bytes(SPEC, k, study.run.ranges, SHARD_SIZE)
+            data, digest = shard_bytes(SPEC, k)
             coord.push(sid, k, data, digest, worker_id="w0")
         coord.wait(sid, timeout=5.0)
         # A local run over the same cache now re-serves every shard.
@@ -364,10 +361,9 @@ class TestInlineAndCache:
                 (k, cached, done, total, wid)
             ),
         )
-        study = coord._study(sid)
         lease = coord.lease("w7")
         k = lease["shard_index"]
-        data, digest = shard_bytes(SPEC, k, study.run.ranges, SHARD_SIZE)
+        data, digest = shard_bytes(SPEC, k)
         coord.push(sid, k, data, digest, worker_id="w7", lease_id=lease["lease_id"])
         coord.drain_inline(sid)
         assert len(events) == 4
@@ -386,11 +382,10 @@ class TestInlineAndCache:
 
         coord = make()
         sid = coord.register_study(SPEC, shard_size=SHARD_SIZE, progress=progress)
-        study = coord._study(sid)
         for k in range(3):
-            data, digest = shard_bytes(SPEC, k, study.run.ranges, SHARD_SIZE)
+            data, digest = shard_bytes(SPEC, k)
             coord.push(sid, k, data, digest, worker_id="w0")
-        data, digest = shard_bytes(SPEC, 3, study.run.ranges, SHARD_SIZE)
+        data, digest = shard_bytes(SPEC, 3)
         pusher = threading.Thread(
             target=coord.push, args=(sid, 3, data, digest), kwargs={"worker_id": "w0"}
         )

@@ -1,6 +1,5 @@
 """The scheduling strategies and the deterministic dispatch simulation."""
 
-import threading
 
 import pytest
 
@@ -126,21 +125,3 @@ class TestSimulation:
         lpt = simulate_schedule(costs, 4, SizeAwareScheduler())
         static = simulate_schedule(costs, 4, StaticScheduler())
         assert lpt.makespan_s <= static.makespan_s + 1e-12
-
-    def test_memoized_trace_is_shared(self):
-        t1 = shard_schedule(SPEC, 3, "static")
-        t2 = shard_schedule(SPEC, 3, "static")
-        assert t1 is t2
-
-    def test_memoization_is_thread_safe(self):
-        out = []
-
-        def worker():
-            out.append(shard_schedule(SPEC, 4, "size-aware"))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(t is out[0] for t in out)

@@ -212,16 +212,10 @@ def push_headers(lease, data, worker_id="probe"):
 
 
 def evaluate_lease(lease):
-    from repro.studies.executor import _run_shard
+    from repro.studies.executor import StudyPlan, _run_shard
 
-    return _run_shard(
-        lease["spec"],
-        lease["shard_index"],
-        lease["start"],
-        lease["stop"],
-        lease["shard_size"],
-        True,
-    ).tobytes()
+    plan = StudyPlan.decode(lease["spec"], lease["shard_size"])
+    return _run_shard(plan, lease["shard_index"], True).tobytes()
 
 
 def test_lease_push_round_trip_over_http(server):
@@ -351,3 +345,28 @@ def test_healthz_reports_coordinator_state(server):
 def test_plain_healthz_reports_distributed_null(plain_server):
     _, _, body = request(plain_server, "GET", "/healthz")
     assert json.loads(body)["distributed"] is None
+
+
+def test_stop_finishes_an_in_flight_job_without_waiting_out_leases():
+    # One shard leased to a worker that never pushes: stop() reclaims the
+    # lease and drains the study inline instead of waiting two lease TTLs.
+    spec = ScenarioSpec(name="stop-drain", axes={"lps": list(range(1, 11))})
+    server = StudyServer(
+        distributed=True, lease_ttl_s=2.0, shard_size=5, job_workers=1
+    ).start()
+    try:
+        snapshot, _ = server.manager.submit(spec)
+        job_id = snapshot["job_id"]
+        deadline = time.monotonic() + 10.0
+        while not server.coordinator.has_study(job_id):
+            assert time.monotonic() < deadline, "job never registered its study"
+            time.sleep(0.005)
+        assert server.coordinator.lease("ghost") is not None
+    finally:
+        started = time.monotonic()
+        server.stop()
+        elapsed = time.monotonic() - started
+    assert elapsed < 1.0, f"stop() took {elapsed:.2f}s"
+    artifact, status = server.manager.artifact(job_id)
+    assert status["state"] == "done"
+    assert artifact == run_study(spec, shard_size=5).artifact_bytes()

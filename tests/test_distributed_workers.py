@@ -9,13 +9,14 @@ local ProcessPool run byte for byte.
 
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 pytestmark = [pytest.mark.distributed, pytest.mark.faults]
 
 from repro.distributed import ShardCoordinator, ShardWorker, WorkerStats
-from repro.exceptions import DistributedError
+from repro.exceptions import DistributedError, PushRejected
 from repro.faults import (
     SITE_SHARD_EVAL,
     SITE_WORKER_DEATH,
@@ -24,7 +25,7 @@ from repro.faults import (
     FaultPlan,
     FaultRule,
 )
-from repro.studies import ScenarioSpec, run_study
+from repro.studies import ScenarioSpec, executor, run_study, shard_ranges
 from repro.studies.executor import RetryPolicy
 
 
@@ -271,3 +272,50 @@ class TestWorkerLoop:
         with pytest.raises(DistributedError, match="after 4 attempts"):
             worker.run()
         assert worker.stats.pull_faults == FAST.max_attempts
+
+    def test_rejected_push_is_raised_after_one_push(self):
+        coord = ShardCoordinator()
+        coord.register_study(SPEC, shard_size=SHARD_SIZE)
+
+        class WrongDigest:
+            """Pushes the right bytes under a digest they never hash to."""
+
+            pushes = 0
+
+            def lease(self, worker_id):
+                return coord.lease(worker_id)
+
+            def push(self, study_id, shard_index, data, digest, **kwargs):
+                self.pushes += 1
+                return coord.push(study_id, shard_index, data, "0" * 64, **kwargs)
+
+        transport = WrongDigest()
+        worker = ShardWorker(
+            transport, worker_id="w0", faults=NO_FAULTS,
+            retry=RetryPolicy(base_delay_s=0.0),
+        )
+        with pytest.raises(PushRejected):
+            worker.run()
+        assert transport.pushes == 1
+        assert worker.stats.push_faults == 0
+        assert coord.stats.rejected_pushes == 1
+
+    def test_worker_decodes_each_study_once(self, monkeypatch):
+        decoded = []
+        decode = executor.ScenarioSpec.from_dict
+        monkeypatch.setattr(executor, "ScenarioSpec", SimpleNamespace(
+            from_dict=lambda payload: decoded.append(payload) or decode(payload)
+        ))
+        coord = ShardCoordinator()
+        worker = ShardWorker(coord, worker_id="w0", faults=NO_FAULTS, poll_s=0.0)
+        other = ScenarioSpec(name="other", axes={"lps": list(range(1, 12))})
+        # Two studies under one id, one after the other: the worker must
+        # notice the new spec although the id repeats.
+        for spec in (SPEC, other):
+            coord.register_study(spec, shard_size=SHARD_SIZE, study_id="same")
+            decoded.clear()  # count the worker's decodes only
+            shards = len(shard_ranges(spec.num_points, SHARD_SIZE))
+            assert worker.run(max_shards=shards).died is False
+            assert len(decoded) == 1
+            expected = run_study(spec, shard_size=SHARD_SIZE).artifact_bytes()
+            assert coord.results("same").artifact_bytes() == expected

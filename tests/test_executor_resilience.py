@@ -25,7 +25,7 @@ from repro.faults import (
     SITE_WORKER_DEATH,
 )
 from repro.studies import RetryPolicy, ScenarioSpec, StudyCache, run_study
-from repro.studies.executor import _BACKOFF_DOMAIN, _run_shard
+from repro.studies.executor import _BACKOFF_DOMAIN, StudyPlan, _run_shard
 
 pytestmark = pytest.mark.faults
 
@@ -193,14 +193,15 @@ def test_exhausted_pool_restarts_fall_back_to_inline(reference_bytes):
 def test_inline_worker_death_raises_instead_of_exiting():
     plan = FaultPlan([FaultRule(site=SITE_WORKER_DEATH, keys=(0,), times=1)])
     with pytest.raises(FaultInjected, match="raised instead of exiting"):
-        _run_shard(SPEC.to_dict(), 0, 0, 4, SHARD_SIZE, True, plan.to_dict(), 0, False)
+        _run_shard(StudyPlan.decode(SPEC.to_dict(), SHARD_SIZE), 0, True, plan.to_dict(), 0, False)
 
 
 def test_respawned_worker_does_not_reset_the_fault_schedule():
     # The attempt number is parent-owned: shipping attempt=times means the
     # site must NOT fire again, no matter how fresh the worker process is.
     plan = FaultPlan([FaultRule(site=SITE_WORKER_DEATH, keys=(0,), times=2)])
-    shard = _run_shard(SPEC.to_dict(), 0, 0, 4, SHARD_SIZE, True, plan.to_dict(), 2, False)
+    study = StudyPlan.decode(SPEC.to_dict(), SHARD_SIZE)
+    shard = _run_shard(study, 0, True, plan.to_dict(), 2, False)
     assert shard.shape == (4,)
 
 

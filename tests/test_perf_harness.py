@@ -108,6 +108,15 @@ class TestCommittedArtifact:
 
 
     @pytest.mark.perf
+    def test_committed_faulted_study_meets_floor(self):
+        """The faulted-study kernel prices per-shard fixed cost: 40 shards
+        over one study plan, against its per-shard-decode baseline."""
+        report = json.loads((REPO_ROOT / "BENCH_PERF.json").read_text())
+        entry = report["kernels"]["study_faulted"]
+        assert entry["seed_seconds"] is not None
+        assert entry["speedup_vs_seed"] >= 1.2
+
+    @pytest.mark.perf
     @pytest.mark.parametrize(
         ("kernel", "floor"), [("service_roundtrip", 2.0), ("artifact_encode", 1.2)]
     )

@@ -34,6 +34,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -449,6 +450,40 @@ def test_stop_leaves_the_backlog_queued_instead_of_executing_it():
     assert manager.executed_shards == 0
     for job_id in job_ids:
         assert manager.status(job_id)["state"] == "queued"
+
+
+class _HungUp:
+    """A socket writer whose peer is gone after ``ok`` successful writes."""
+
+    def __init__(self, ok: int, exc: type[OSError]) -> None:
+        self.ok, self.exc = ok, exc
+
+    def write(self, data: bytes) -> int:
+        if self.ok == 0:
+            raise self.exc()
+        self.ok -= 1
+        return len(data)
+
+
+@pytest.mark.parametrize(
+    ("ok_writes", "exc"), [(0, BrokenPipeError), (1, ConnectionResetError)],
+    ids=["headers", "body"],
+)
+def test_reply_to_a_disconnected_client_is_dropped_quietly(server, ok_writes, exc):
+    from repro.service.server import _Handler
+
+    handler = _Handler.__new__(_Handler)  # no socket: drive _dispatch directly
+    handler.server = SimpleNamespace(study_server=server)
+    handler.wfile = _HungUp(ok_writes, exc)
+    handler.client_address = ("127.0.0.1", 0)
+    handler.request_version = "HTTP/1.1"
+    handler.requestline = "GET /healthz HTTP/1.1"
+    handler.command = "GET"
+    handler.close_connection = False
+    before = server.dropped_replies
+    handler._dispatch(lambda: (200, {"ok": True}, {}))
+    assert server.dropped_replies == before + 1
+    assert handler.close_connection
 
 
 # --------------------------------------------------------------------- #

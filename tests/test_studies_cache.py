@@ -14,7 +14,7 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.studies import ScenarioSpec, StudyCache, run_study
-from repro.studies.executor import _run_shard
+from repro.studies.executor import StudyPlan, _run_shard
 from repro.studies.results import empty_table
 
 
@@ -76,7 +76,7 @@ class TestKeyingRule:
 
 class TestStoreAndLoad:
     def test_roundtrip_bytes(self, spec, cache):
-        shard = _run_shard(spec.to_dict(), 0, 0, 4, 4, True)
+        shard = _run_shard(StudyPlan.decode(spec.to_dict(), 4), 0, True)
         cache.store_shard(spec, 4, 0, shard)
         loaded = cache.load_shard(spec, 4, 0)
         assert loaded.tobytes() == shard.tobytes()
@@ -91,7 +91,7 @@ class TestStoreAndLoad:
             cache.store_shard(spec, 4, 0, empty_table(3))
 
     def test_corrupt_entry_is_a_miss_and_heals(self, spec, cache):
-        shard = _run_shard(spec.to_dict(), 0, 0, 4, 4, True)
+        shard = _run_shard(StudyPlan.decode(spec.to_dict(), 4), 0, True)
         path = cache.store_shard(spec, 4, 0, shard)
         path.write_bytes(path.read_bytes()[:10])  # torn write
         assert cache.load_shard(spec, 4, 0) is None
@@ -106,7 +106,7 @@ class TestStoreAndLoad:
     def test_every_truncation_length_is_a_miss(self, spec, cache):
         # A partial write can tear at any byte; no prefix length may ever
         # parse as a valid entry (the loader checks exact size, not magic).
-        shard = _run_shard(spec.to_dict(), 0, 0, 4, 4, True)
+        shard = _run_shard(StudyPlan.decode(spec.to_dict(), 4), 0, True)
         path = cache.store_shard(spec, 4, 0, shard)
         whole = path.read_bytes()
         for cut in (0, 1, 7, len(whole) // 2, len(whole) - 1):
@@ -119,7 +119,7 @@ class TestStoreAndLoad:
     def test_unreadable_entry_is_a_miss_not_an_error(self, spec, cache):
         # chmod tricks don't bite when tests run as root; a directory squatting
         # on the entry path raises the same OSError family on read_bytes().
-        shard = _run_shard(spec.to_dict(), 0, 0, 4, 4, True)
+        shard = _run_shard(StudyPlan.decode(spec.to_dict(), 4), 0, True)
         path = cache.store_shard(spec, 4, 0, shard)
         path.unlink()
         path.mkdir()

@@ -9,13 +9,15 @@ the ``repro.studies.executor`` module docstring for the contract.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core import SplitExecutionModel
 from repro.exceptions import ValidationError
 from repro.studies import ScenarioSpec, run_study, shard_ranges
-from repro.studies.executor import _run_shard
+from repro.studies import executor
 
 
 @pytest.fixture(scope="module")
@@ -187,12 +189,50 @@ class TestMonteCarloColumn:
 
 
 class TestShardFunction:
-    def test_run_shard_slice_matches_full_run(self, audit_spec):
-        full = run_study(audit_spec, shard_size=audit_spec.num_points)
-        spec_sans_mc = ScenarioSpec(axes=dict(audit_spec.axes), name="plain")
-        full_plain = run_study(spec_sans_mc, shard_size=16)
-        part = _run_shard(spec_sans_mc.to_dict(), 2, 40, 55, 16, True)
-        # Byte comparison: mc_accuracy is NaN on both sides, and np.nan has
-        # one bit pattern, so tobytes() is an exact structured-row equality.
-        assert part.tobytes() == full_plain.table[40:55].tobytes()
-        assert full.num_points == audit_spec.num_points
+    def test_run_shard_slice_matches_full_run(self):
+        """Row-keyed columns ignore the shard grid.
+
+        With MC off, every column except the two ``sched_*`` columns (which
+        simulate dispatch over the shard grid) is byte-equal across shard
+        sizes whose boundaries fall in different places — including the
+        DES rows' contention columns, keyed per row.
+        """
+        spec = ScenarioSpec(
+            axes={"lps": list(range(1, 11)), "backend": ["closed_form", "des"]},
+            name="rows",
+        )
+        a = run_study(spec, shard_size=16).table
+        b = run_study(spec, shard_size=15).table
+        for name in a.dtype.names:
+            if not name.startswith("sched_"):
+                # Bytes: NaN fills have one bit pattern on both sides.
+                assert a[name].tobytes() == b[name].tobytes(), name
+
+
+class TestStudyPlan:
+    def test_run_study_decodes_and_simulates_once(self, audit_spec, monkeypatch):
+        spec = ScenarioSpec(
+            axes={**audit_spec.axes, "scheduler": ["static", "size-aware"]},
+            name="plan",
+        )
+        reference = run_study(spec, shard_size=16).artifact_bytes()
+        decoded, simulated = [], []
+        decode, schedule = executor.ScenarioSpec.from_dict, executor.shard_schedule
+        monkeypatch.setattr(executor, "ScenarioSpec", SimpleNamespace(
+            from_dict=lambda payload: decoded.append(payload) or decode(payload)
+        ))
+        monkeypatch.setattr(
+            executor, "shard_schedule",
+            lambda s, size, name: simulated.append(name) or schedule(s, size, name),
+        )
+        results = run_study(spec, shard_size=16)  # 240 points, 15 shards
+        assert len(decoded) == 1
+        assert sorted(simulated) == ["size-aware", "static"]
+        assert results.artifact_bytes() == reference
+
+    def test_plan_holds_the_shard_grid(self, audit_spec):
+        plan = executor.StudyPlan.decode(audit_spec.to_dict(), 50)
+        assert plan.spec == audit_spec
+        assert plan.payload == audit_spec.to_dict()
+        assert plan.ranges == tuple(shard_ranges(audit_spec.num_points, 50))
+        assert set(plan.traces) == {"static"}
