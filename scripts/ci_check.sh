@@ -82,14 +82,18 @@ echo "== perf-harness smoke (--check) =="
 python -m benchmarks.perf_harness --check
 
 echo
-echo "== traced service benchmark smoke (perfbench, grid_warm + grid_cold) =="
+echo "== traced service benchmark smoke (perfbench, grid_warm + grid_cold + fleet) =="
 # perfbench's timing shims wrap service callables by name and call shape
 # (StudyServiceClient.status, JobManager._run_job, ...); a src/ change that
 # breaks that contract fails the traced run's zero-call and ledger checks.
 # grid_cold is the workload that requires the executor's spec.decode and
-# scheduler.shard_schedule layers; grid_warm requires neither.
+# scheduler.shard_schedule layers; grid_warm requires neither.  fleet is the
+# one that runs through ShardCoordinator (register_study, wait, push) and
+# the worker transport (lease, push), and fails if the coordinator drains
+# any shard inline instead of leasing it to the attached worker.
 python3 perfbench/run.py --workload grid_warm --seed 1 --seconds 2 --trace 1
 python3 perfbench/run.py --workload grid_cold --seed 1 --seconds 2 --trace 1
+python3 perfbench/run.py --workload fleet --seed 1 --seconds 2 --trace 1
 
 echo
 echo "== study-cache correctness smoke =="

@@ -42,6 +42,8 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .distributed.scheduler import DEFAULT_SCHEDULER, SCHEDULER_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Split-execution performance models (Humble et al., 2016)",
@@ -132,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         "served artifact is byte-identical in every topology.",
     )
     _add_serve_flags(p)
-    p.add_argument("--scheduler", type=str, default="static",
-                   choices=("static", "work-stealing", "size-aware"),
+    p.add_argument("--scheduler", type=str, default=DEFAULT_SCHEDULER,
+                   choices=SCHEDULER_NAMES,
                    help="default shard dispatch strategy (a spec pinning its "
                    "scheduler axis to one value overrides this per study)")
     p.add_argument("--lease-ttl", type=float, default=30.0,
@@ -152,8 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base URL of the coordinator (e.g. http://127.0.0.1:8321)")
     p.add_argument("--id", type=str, default=None,
                    help="worker identity for attribution (default: worker-<pid>)")
-    p.add_argument("--poll", type=float, default=0.2,
-                   help="seconds between empty lease pulls")
+    p.add_argument("--poll", type=float, default=None,
+                   help="seconds between empty lease pulls (default: "
+                   "ShardWorker's poll_s)")
     p.add_argument("--max-idle", type=float, default=None,
                    help="exit after this many idle seconds (default: run until "
                    "the coordinator goes away)")
@@ -195,8 +198,6 @@ def _add_serve_flags(p: argparse.ArgumentParser) -> None:
                    help="bounded job-queue capacity (full queue rejects with 429)")
     p.add_argument("--job-workers", type=int, default=2,
                    help="worker threads executing queued studies")
-    p.add_argument("--executor-workers", type=int, default=1,
-                   help="run_study process count per job")
     p.add_argument("--shard-size", type=int, default=None,
                    help="points per shard for every served job (part of job identity)")
     p.add_argument("--journal", type=str, default=None,
@@ -527,6 +528,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace, distributed: bool = False) -> int:
     from .backends import available_backends
+    from .distributed.scheduler import DEFAULT_SCHEDULER
     from .service import StudyServer
     from .studies.executor import DEFAULT_SHARD_SIZE
 
@@ -536,12 +538,11 @@ def _cmd_serve(args: argparse.Namespace, distributed: bool = False) -> int:
         cache=args.cache,
         queue_size=args.queue_size,
         job_workers=args.job_workers,
-        executor_workers=args.executor_workers,
         shard_size=DEFAULT_SHARD_SIZE if args.shard_size is None else args.shard_size,
         journal=args.journal,
         log=None if args.quiet else lambda line: print(line, file=sys.stderr, flush=True),
         distributed=distributed,
-        scheduler=getattr(args, "scheduler", None) or "static",
+        scheduler=getattr(args, "scheduler", DEFAULT_SCHEDULER),
         lease_ttl_s=getattr(args, "lease_ttl", 30.0),
     )
     # Flushed eagerly so wrappers (the CI smoke) can scrape the bound port
@@ -573,9 +574,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     worker = ShardWorker(
         HttpCoordinatorTransport(args.coordinator),
         worker_id=args.id,
-        poll_s=args.poll,
         max_idle_s=args.max_idle,
         exit_on_death=True,  # injected deaths look like SIGKILL, as intended
+        **({} if args.poll is None else {"poll_s": args.poll}),
     )
     print(f"worker {worker.worker_id} pulling from {args.coordinator}", flush=True)
     try:

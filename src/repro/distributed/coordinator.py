@@ -42,6 +42,16 @@ study becomes leasable, so a distributed run leaves behind exactly the
 entries a local ``run_study`` would and artifacts are byte-identical
 regardless of topology.
 
+A study lives from :meth:`ShardCoordinator.register_study` to
+:meth:`ShardCoordinator.wait`, and ``wait`` owns its liveness: every
+poll it expires leases, and when the fleet goes quiet — no lease granted,
+no shard landed and no worker attached for ``max(lease_ttl_s, 1.0)``
+seconds on the coordinator's clock — it drains the study inline.  Once
+the study settles, ``wait`` hands back its results (or raises its
+:class:`~repro.exceptions.ShardError`) and forgets it, with every lease
+that still names it; a later push for it is refused with
+:class:`~repro.exceptions.UnknownStudy`, which a worker drops.
+
 The coordinator never computes shards itself (outside ``drain_inline``)
 and holds no wall-clock state in results: all timing lives in leases and
 stats, outside the artifact.  Once closed (:meth:`ShardCoordinator.close`,
@@ -51,6 +61,7 @@ study inline.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import threading
@@ -60,7 +71,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..exceptions import PushRejected, ValidationError
+from ..exceptions import PushRejected, ShardError, UnknownStudy, ValidationError
 from ..faults import FaultPlan
 from ..studies.cache import StudyCache, study_key
 from ..studies.executor import DEFAULT_SHARD_SIZE, ShardRun
@@ -81,6 +92,10 @@ __all__ = ["ShardCoordinator", "CoordinatorStats", "DistProgress"]
 #: the executor's ProgressCallback plus the worker attribution
 #: (``None`` for cache-served and inline-drained shards).
 DistProgress = Callable[[int, bool, int, int, "str | None"], None]
+
+#: How often :meth:`ShardCoordinator.wait` wakes to expire leases and
+#: check for a stalled fleet.
+_WAIT_POLL_S = 0.05
 
 
 @dataclass
@@ -117,7 +132,6 @@ class _Study:
     costs: list
     progress: "DistProgress | None"
     leased: dict = field(default_factory=dict)    # shard_index -> lease_id
-    worker_shards: dict = field(default_factory=dict)  # worker_id -> count
 
 
 class ShardCoordinator:
@@ -143,8 +157,9 @@ class ShardCoordinator:
         same ledger — before the study is declared failed (faults must
         converge, not spin forever).
     clock:
-        Injectable monotonic clock — tests drive lease expiry
-        deterministically instead of sleeping.
+        Injectable monotonic clock for lease expiry, the stall rule and
+        ``wait`` timeouts — tests drive all three deterministically
+        instead of sleeping.
     """
 
     def __init__(
@@ -168,8 +183,7 @@ class ShardCoordinator:
         self.stats = CoordinatorStats()
         self._clock = clock
         self._lock = threading.RLock()
-        self._studies: dict[str, _Study] = {}
-        self._order: list[str] = []            # registration order (dispatch FIFO)
+        self._studies: dict[str, _Study] = {}  # insertion order is the dispatch FIFO
         self._leases: dict[str, _Lease] = {}
         self._workers: dict[str, int] = {}     # worker_id -> slot (arrival order)
         self._lease_seq = 0
@@ -190,10 +204,10 @@ class ShardCoordinator:
 
         The id defaults to the study's content address
         (:func:`~repro.studies.cache.study_key`) — the same identity the
-        job server dedups on.  Re-registering an id whose study is still
-        in flight is rejected (the caller already dedups identical
-        submissions); a *settled* study — complete or failed — is
-        replaced, which is how an evicted-then-resubmitted job reruns.
+        job server dedups on.  Re-registering an id the coordinator still
+        holds is rejected (the caller already dedups identical
+        submissions); once :meth:`wait` has handed a study back its id is
+        free again, which is how an evicted-then-resubmitted job reruns.
         The cache pre-pass runs before the study becomes leasable.
         """
         study_id = study_key(spec, shard_size) if study_id is None else study_id
@@ -218,51 +232,57 @@ class ShardCoordinator:
             progress=progress,
         )
         run.progress = functools.partial(self._landed, study)
-        # Refuse an active duplicate before the pre-pass reports progress;
-        # the check repeats under the lock because the pre-pass does not
-        # hold it.
-        self._check_replaceable(study_id)
+        # Refuse a duplicate before the pre-pass reports progress; the
+        # check repeats under the lock because the pre-pass does not hold it.
+        self._refuse_held(study_id)
         run.serve_cached()
         with self._lock:
-            if self._check_replaceable(study_id):
-                self._order.remove(study_id)
+            self._refuse_held(study_id)
             self._studies[study_id] = study
-            self._order.append(study_id)
         return study_id
 
     def wait(self, study_id: str, timeout: float | None = None) -> StudyResults:
-        """Block until the study completes; raises its ShardError on failure.
+        """Block until the study settles, then hand it back and forget it.
 
-        Polls so lease expiry advances even when no worker traffic is
-        arriving (the all-workers-dead case must still converge to a
-        requeue, then to a requeue-budget failure or an inline drain).
+        Every poll expires leases, so the all-workers-dead case converges
+        to a requeue, and applies the stall rule: when the lease count,
+        the study's landed count and the attached-worker count have not
+        moved for ``max(lease_ttl_s, 1.0)`` seconds (every poll, once
+        closed) the pending shards drain inline.  A settled study is
+        dropped with every lease that still names it; its results are
+        returned, or its :class:`~repro.exceptions.ShardError` raised.  A
+        :class:`TimeoutError` (``timeout`` on the coordinator's clock)
+        leaves the study registered.
         """
-        run = self._study(study_id).run
-        deadline = None if timeout is None else self._clock() + timeout
-        while not run.settled.wait(timeout=0.05):
-            if self._closed:
-                self.drain_inline(study_id)
+        study = self._study(study_id)
+        run = study.run
+        stall_s = max(self.lease_ttl_s, 1.0)
+        started = self._clock()
+        activity = quiet_since = None
+        while not run.settled.is_set():
             with self._lock:
                 self._expire()
-            if deadline is not None and self._clock() > deadline:
+                now = self._clock()
+                seen = (self.stats.leases_granted, len(run.done), len(self._workers))
+            if seen != activity:
+                activity, quiet_since = seen, now
+            if timeout is not None and now - started > timeout:
                 raise TimeoutError(
                     f"study {study_id} incomplete after {timeout}s "
                     f"({len(run.done)}/{run.total} shards)"
                 )
-        return self.results(study_id)
-
-    def results(self, study_id: str) -> StudyResults:
-        """The completed study's results (ValidationError while incomplete)."""
-        run = self._study(study_id).run
+            if self._closed or now - quiet_since >= stall_s:
+                with contextlib.suppress(ShardError):  # settled: raised below
+                    self.drain_inline(study_id)
+            run.settled.wait(_WAIT_POLL_S)
         with self._lock:
-            if run.error is not None:
-                raise run.error
-            if len(run.done) < run.total:
-                raise ValidationError(
-                    f"study {study_id} is incomplete "
-                    f"({len(run.done)}/{run.total} shards)"
-                )
-            return StudyResults(spec=run.plan.spec, table=run.table.copy())
+            if self._studies.get(study_id) is study:
+                del self._studies[study_id]
+                for lease_id in study.leased.values():
+                    self._leases.pop(lease_id, None)
+        if run.error is not None:
+            raise run.error
+        return StudyResults(spec=run.plan.spec, table=run.table)
 
     # ------------------------------------------------------------------ #
     # The worker-facing verbs
@@ -282,8 +302,7 @@ class ShardCoordinator:
                 return None
             slot = self._workers.setdefault(worker_id, len(self._workers))
             num_slots = len(self._workers)
-            for study_id in self._order:
-                study = self._studies[study_id]
+            for study_id, study in self._studies.items():
                 run = study.run
                 if run.error is not None or not run.pending:
                     continue
@@ -324,7 +343,10 @@ class ShardCoordinator:
         worker_id: str = "",
         lease_id: str | None = None,
     ) -> dict:
-        """Verify and land one computed shard; idempotent for landed shards."""
+        """Verify and land one computed shard; idempotent for landed shards.
+
+        Raises :class:`~repro.exceptions.UnknownStudy` once the study has
+        been handed back (or was never registered)."""
         study = self._study(study_id)
         run = study.run
         with self._lock:
@@ -410,32 +432,16 @@ class ShardCoordinator:
             return {
                 "workers": len(self._workers),
                 "outstanding_leases": len(self._leases),
-                "studies_registered": len(self._studies),
                 "studies_active": active,
                 "scheduler": self.default_scheduler.name,
                 **self.stats.as_dict(),
             }
 
     def has_study(self, study_id: str) -> bool:
-        """Whether ``study_id`` names a registered study (any state)."""
+        """Whether the coordinator holds ``study_id``: registered and not
+        yet handed back by :meth:`wait`."""
         with self._lock:
             return study_id in self._studies
-
-    def worker_shards(self, study_id: str) -> dict[str, int]:
-        """Per-worker shard attribution of one study (telemetry, not bytes)."""
-        with self._lock:
-            return dict(self._study(study_id).worker_shards)
-
-    def progress_snapshot(self, study_id: str) -> dict:
-        study = self._study(study_id)
-        with self._lock:
-            return {
-                "done": len(study.run.done),
-                "total": study.run.total,
-                "pending": len(study.run.pending),
-                "leased": len(study.leased),
-                "workers": dict(study.worker_shards),
-            }
 
     # ------------------------------------------------------------------ #
     # Internals (call with the lock held)
@@ -445,35 +451,28 @@ class ShardCoordinator:
             try:
                 return self._studies[study_id]
             except KeyError:
-                raise ValidationError(f"unknown study {study_id!r}") from None
+                raise UnknownStudy(f"unknown study {study_id!r}") from None
 
-    def _check_replaceable(self, study_id: str) -> bool:
-        """Whether ``study_id`` is registered; raises while it is active."""
+    def _refuse_held(self, study_id: str) -> None:
         with self._lock:
-            existing = self._studies.get(study_id)
-            if existing is not None and not existing.run.settled.is_set():
-                raise ValidationError(
-                    f"study {study_id!r} is already registered and active"
-                )
-            return existing is not None
+            if study_id in self._studies:
+                raise ValidationError(f"study {study_id!r} is already registered")
 
     def _landed(
         self, study: _Study, k: int, from_cache: bool, done: int, total: int,
         worker_id: str | None,
     ) -> None:
-        """Every landing's telemetry, then the study's progress feed.
+        """Every landing's telemetry, then the study's progress feed (the
+        one place per-worker attribution is kept).
 
         ``worker_id`` is None for an inline-drained shard and ``""`` for
-        a push that named no worker (counted nowhere).
+        a push that named no worker (reported as None).
         """
         with self._lock:
             if from_cache:
                 self.stats.cache_served_shards += 1
             elif worker_id is None:
                 self.stats.inline_shards += 1
-            elif worker_id:
-                shards = study.worker_shards
-                shards[worker_id] = shards.get(worker_id, 0) + 1
         if study.progress is not None:
             study.progress(k, from_cache, done, total, worker_id or None)
 

@@ -14,12 +14,18 @@ Transport is pluggable: hand it a :class:`ShardCoordinator` directly
 (the ``cli worker`` process path).  Both expose the same three verbs —
 ``lease`` / ``push`` / ``fail`` — and both can fail, which is where the
 ``worker-pull`` / ``worker-push`` fault sites and the executor's
-:class:`~repro.studies.executor.RetryPolicy` backoff come in: transport
-faults are retried with seeded-jitter exponential backoff, evaluation
-errors are reported via ``fail`` (immediate requeue), and an injected
-``worker-death`` abandons the loop outright — silently, so the
-coordinator's lease deadline (not worker goodwill) is what recovers the
-shard.
+:class:`~repro.studies.executor.RetryPolicy` backoff come in: both verbs
+run through one retry helper that retries transport faults with
+seeded-jitter exponential backoff, evaluation errors are reported via
+``fail`` (immediate requeue), and an injected ``worker-death`` abandons
+the loop outright — silently, so the coordinator's lease deadline (not
+worker goodwill) is what recovers the shard.
+
+A push the coordinator answers with
+:class:`~repro.exceptions.UnknownStudy` names a study it no longer holds:
+it already handed the study back (this push is a late duplicate) or it
+restarted.  Nobody wants those bytes, so the worker drops the shard and
+pulls again.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import asdict, dataclass
 
 from .._json import canonical_line
 from .._rng import spawn_stream
-from ..exceptions import DistributedError, PushRejected, ValidationError
+from ..exceptions import DistributedError, PushRejected, UnknownStudy, ValidationError
 from ..faults import (
     SITE_SHARD_EVAL,
     SITE_WORKER_DEATH,
@@ -44,6 +50,7 @@ from ..faults import (
 )
 from ..service.protocol import (
     ERR_SHARD_REJECTED,
+    ERR_UNKNOWN_STUDY,
     HEADER_LEASE_ID,
     HEADER_SHARD_DIGEST,
     HEADER_SHARD_INDEX,
@@ -72,6 +79,7 @@ class WorkerStats:
     duplicate_pushes: int = 0   # accepted pushes that were already landed
     pull_faults: int = 0        # injected/real pull transport failures absorbed
     push_faults: int = 0        # injected/real push transport failures absorbed
+    dropped_shards: int = 0     # pushes refused because the study was handed back
     eval_failures: int = 0      # evaluation errors reported via fail()
     died: bool = False          # the loop ended via an injected worker death
 
@@ -84,8 +92,10 @@ class HttpCoordinatorTransport:
 
     Raises :class:`DistributedError` for transport-level failures (the
     worker's retry loop absorbs those), :class:`PushRejected` for a 409
-    ``shard-rejected`` verification failure, and :class:`ValidationError`
-    for protocol misuse (unknown study, not a coordinator).
+    ``shard-rejected`` verification failure, :class:`UnknownStudy` for a
+    404 ``unknown-study`` push — the same exceptions an in-process
+    :class:`ShardCoordinator` raises — and :class:`ValidationError` for
+    other protocol misuse (e.g. not a coordinator).
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
@@ -142,7 +152,8 @@ class HttpCoordinatorTransport:
             if exc.code == ERR_SHARD_REJECTED:
                 raise PushRejected(exc.details.get("reason", "rejected"), exc.message) from exc
             if exc.status in (400, 404, 409):
-                raise ValidationError(
+                error = UnknownStudy if exc.code == ERR_UNKNOWN_STUDY else ValidationError
+                raise error(
                     f"coordinator rejected {path}: [{exc.code}] {exc.message}"
                 ) from exc
             raise DistributedError(f"coordinator failed on {path}: {exc}") from exc
@@ -208,7 +219,6 @@ class ShardWorker:
         self.stats = WorkerStats()
         self._clock = clock
         self._sleep = sleep
-        self._pull_seq = 0
         self._plan: StudyPlan | None = None
         # Jitter stream for transport backoff: keyed on nothing study-
         # specific (delays shape timing, never bytes).
@@ -222,7 +232,8 @@ class ShardWorker:
         between shards.  Raises :class:`DistributedError` when the
         transport stays down through the whole retry budget, and its
         subclass :class:`PushRejected` at once when the coordinator
-        refuses a pushed shard.
+        refuses a pushed shard's bytes.  A push for a study the
+        coordinator no longer holds is dropped, not raised.
         """
         completed = 0
         last_work = self._clock()
@@ -231,7 +242,11 @@ class ShardWorker:
                 return self.stats
             if max_shards is not None and completed >= max_shards:
                 return self.stats
-            lease = self._pull()
+            lease = self._retrying(
+                SITE_WORKER_PULL, 0, f"lease pull {self.stats.pulls + 1}",
+                lambda: self.transport.lease(self.worker_id),
+            )
+            self.stats.pulls += 1
             if lease is None:
                 self.stats.empty_pulls += 1
                 if (
@@ -248,31 +263,6 @@ class ShardWorker:
             completed += 1
 
     # ------------------------------------------------------------------ #
-    def _pull(self) -> dict | None:
-        """One lease request under the worker-pull fault site + retries."""
-        self._pull_seq += 1
-        for attempt in range(self.retry.max_attempts):
-            try:
-                if (
-                    self.faults is not None
-                    and self.faults.fires_counted(SITE_WORKER_PULL) is not None
-                ):
-                    raise FaultInjected(
-                        f"injected worker-pull failure (pull {self._pull_seq})"
-                    )
-                body = self.transport.lease(self.worker_id)
-            except (FaultInjected, DistributedError) as exc:
-                self.stats.pull_faults += 1
-                if attempt + 1 >= self.retry.max_attempts:
-                    raise DistributedError(
-                        f"lease pull failed after {attempt + 1} attempts: {exc}"
-                    ) from exc
-                self._backoff(attempt)
-            else:
-                self.stats.pulls += 1
-                return body
-        raise AssertionError("unreachable")  # pragma: no cover
-
     def _execute(self, lease: dict) -> bool:
         """Evaluate one lease and push it; False = die (abandon lease)."""
         k = int(lease["shard_index"])
@@ -295,7 +285,20 @@ class ShardWorker:
             return True
         data = shard.tobytes()
         digest = hashlib.sha256(data).hexdigest()
-        self._push(lease, data, digest)
+        try:
+            body = self._retrying(
+                SITE_WORKER_PUSH, k, f"shard {k} push",
+                lambda: self.transport.push(
+                    lease["study_id"], k, data, digest,
+                    worker_id=self.worker_id, lease_id=lease.get("lease_id"),
+                ),
+            )
+        except UnknownStudy:
+            self.stats.dropped_shards += 1  # the study was handed back already
+            return True
+        self.stats.shards_completed += 1
+        if body.get("duplicate"):
+            self.stats.duplicate_pushes += 1
         return True
 
     def _plan_for(self, lease: dict) -> StudyPlan:
@@ -309,41 +312,37 @@ class ShardWorker:
             plan = self._plan = StudyPlan.decode(payload, shard_size)
         return plan
 
-    def _push(self, lease: dict, data: bytes, digest: str) -> None:
-        """One shard push under the worker-push fault site + retries."""
-        k = int(lease["shard_index"])
+    def _retrying(
+        self, site: str, key: int, what: str, verb: Callable[[], dict | None]
+    ) -> dict | None:
+        """``verb()`` under the ``site`` fault check, with transport faults
+        counted and retried after seeded backoff; :class:`DistributedError`
+        once ``retry.max_attempts`` calls have failed.
+
+        :class:`PushRejected` is raised after one call: the coordinator
+        has requeued the shard, and the same bytes would be refused again.
+        """
         for attempt in range(self.retry.max_attempts):
             try:
                 if (
                     self.faults is not None
-                    and self.faults.fires_counted(SITE_WORKER_PUSH, key=k) is not None
+                    and self.faults.fires_counted(site, key=key) is not None
                 ):
-                    raise FaultInjected(f"injected worker-push failure (shard {k})")
-                body = self.transport.push(
-                    lease["study_id"],
-                    k,
-                    data,
-                    digest,
-                    worker_id=self.worker_id,
-                    lease_id=lease.get("lease_id"),
-                )
+                    raise FaultInjected(f"injected {site} failure ({what})")
+                return verb()
             except PushRejected:
-                # Verification failed coordinator-side; the shard is
-                # requeued there — nothing useful to retry with the same
-                # bytes, so surface it.  Caught ahead of its base class.
-                raise
+                raise  # caught ahead of its DistributedError base
             except (FaultInjected, DistributedError) as exc:
-                self.stats.push_faults += 1
+                if site == SITE_WORKER_PULL:
+                    self.stats.pull_faults += 1
+                else:
+                    self.stats.push_faults += 1
                 if attempt + 1 >= self.retry.max_attempts:
                     raise DistributedError(
-                        f"shard {k} push failed after {attempt + 1} attempts: {exc}"
+                        f"{what} failed after {attempt + 1} attempts: {exc}"
                     ) from exc
                 self._backoff(attempt)
-            else:
-                self.stats.shards_completed += 1
-                if body.get("duplicate"):
-                    self.stats.duplicate_pushes += 1
-                return
+        raise AssertionError("unreachable")  # pragma: no cover
 
     def _fail(self, lease: dict, message: str) -> None:
         lease_id = lease.get("lease_id")

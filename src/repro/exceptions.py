@@ -22,6 +22,7 @@ __all__ = [
     "SimulationError",
     "DistributedError",
     "PushRejected",
+    "UnknownStudy",
 ]
 
 
@@ -127,3 +128,12 @@ class PushRejected(DistributedError):
     def __init__(self, reason: str, message: str):
         self.reason = reason
         super().__init__(message)
+
+
+class UnknownStudy(ValidationError):
+    """A shard verb named a study the coordinator does not hold.
+
+    Either it was never registered, or it has already been handed back
+    by ``ShardCoordinator.wait`` (a late duplicate push), or the
+    coordinator restarted.  A worker drops that shard and pulls again.
+    """

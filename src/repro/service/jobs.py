@@ -25,6 +25,12 @@ entries (artifact bytes included) are evicted — with a ``StudyCache``
 configured their bytes remain reproducible for free, so an evicted grid
 simply resubmits as a fresh cache-served job.
 
+With a :class:`~repro.distributed.ShardCoordinator`, a job runs as one
+coordinated study: ``register_study``, then ``wait``.  The coordinator
+owns the fleet's liveness (lease expiry and the inline drain of a stalled
+fleet) and forgets the study once ``wait`` hands it back, so the job
+table is the only place a finished study lives.
+
 With a :class:`~repro.service.journal.JobJournal` configured, every
 lifecycle event is durably appended before it is acknowledged, and a
 fresh manager over the same journal *recovers* the job table: failed
@@ -94,7 +100,7 @@ class Job:
     error: dict | None = None
     #: Shards landed per worker id (distributed dispatch only; cache-served
     #: shards attribute to ``"<cache>"``, inline-drained ones to
-    #: ``"<coordinator>"``).  Empty for local ProcessPool execution.
+    #: ``"<coordinator>"``).  Empty for local execution.
     worker_shards: dict = field(default_factory=dict)
     #: Wall-clock submission/finish times (unix seconds).  Observability
     #: only — they live in status snapshots and the journal, never in the
@@ -156,10 +162,10 @@ class JobManager:
         Worker threads executing jobs.  ``0`` starts none — submissions
         queue up but never run (used by tests to observe ``queued`` state
         and queue overflow deterministically).
-    executor_workers / shard_size:
+    shard_size:
         Passed through to :func:`repro.studies.run_study` for every job.
-        ``shard_size`` is part of each job's identity (it partitions the
-        Monte-Carlo streams), so one service instance uses one value.
+        It is part of each job's identity (it partitions the Monte-Carlo
+        streams), so one service instance uses one value.
     max_retained_jobs:
         Retention bound on *finished* jobs (done or failed).  Beyond it the
         oldest-finished jobs (artifact bytes included) are evicted from the
@@ -168,13 +174,11 @@ class JobManager:
         ``StudyCache`` serves byte-identically.
     coordinator:
         Optional :class:`~repro.distributed.ShardCoordinator`.  With one,
-        jobs execute by *registering* their shard grid for distributed
-        dispatch instead of calling :func:`run_study` — attached workers
-        pull leases and push verified shard bytes, and the job's progress
-        gains per-worker attribution.  Liveness is never hostage to the
-        fleet: with no workers attached (or a stalled fleet — no lease or
-        landing activity for a full lease TTL) the manager drains the
-        remaining shards inline, which is byte-identical by construction.
+        a job is ``register_study`` + ``wait`` instead of
+        :func:`run_study` — attached workers pull leases and push verified
+        shard bytes, and the job's progress gains per-worker attribution.
+        Liveness is the coordinator's: its ``wait`` drains a study inline
+        when the fleet is absent or stalled, byte-identically.
     journal:
         Optional :class:`~repro.service.journal.JobJournal` (or a path to
         back one).  Lifecycle events are durably appended, and this
@@ -192,7 +196,6 @@ class JobManager:
         cache: StudyCache | None = None,
         queue_size: int = 64,
         job_workers: int = 2,
-        executor_workers: int = 1,
         shard_size: int = DEFAULT_SHARD_SIZE,
         max_retained_jobs: int = 1024,
         journal: JobJournal | str | Path | None = None,
@@ -208,7 +211,6 @@ class JobManager:
             )
         self.cache = cache
         self.shard_size = shard_size
-        self.executor_workers = executor_workers
         self.max_retained_jobs = max_retained_jobs
         self.coordinator = coordinator
         self._queue: queue.Queue[Job | None] = queue.Queue(maxsize=queue_size)
@@ -411,11 +413,16 @@ class JobManager:
 
         try:
             if self.coordinator is not None:
-                results = self._run_distributed(job, on_progress)
+                self.coordinator.register_study(
+                    job.spec,
+                    shard_size=job.shard_size,
+                    study_id=job.job_id,
+                    progress=on_progress,
+                )
+                results = self.coordinator.wait(job.job_id)
             else:
                 results = run_study(
                     job.spec,
-                    workers=self.executor_workers,
                     shard_size=job.shard_size,
                     cache=self.cache,
                     progress=on_progress,
@@ -435,40 +442,6 @@ class JobManager:
             job.transition(JobState.DONE)
             self._journal_event("done", job, unix=job.finished_unix)
             self._retire(job)
-
-    def _run_distributed(self, job: Job, on_progress):
-        """Execute one job through the shard coordinator.
-
-        Registers the study under the job's content-address id with
-        ``on_progress`` (which records worker attribution) as its
-        per-shard feed, and waits.  If the fleet goes quiet — no worker
-        ever attached, or a full lease TTL passes with no lease or
-        landing activity — the pending shards are drained inline, so a
-        distributed server never hangs a job on an absent fleet; a lease
-        still outstanding then expires and is drained on a later slice,
-        and a straggling worker's late duplicates stay idempotent.
-        """
-        coordinator = self.coordinator
-        coordinator.register_study(
-            job.spec,
-            shard_size=job.shard_size,
-            study_id=job.job_id,
-            progress=on_progress,
-        )
-        stall_s = max(coordinator.lease_ttl_s, 1.0)
-        last_activity = None
-        while True:
-            try:
-                return coordinator.wait(job.job_id, timeout=stall_s)
-            except TimeoutError:
-                snapshot = coordinator.progress_snapshot(job.job_id)
-                health = coordinator.health()
-                activity = (
-                    snapshot["done"], health["leases_granted"], health["workers"]
-                )
-                if health["workers"] == 0 or activity == last_activity:
-                    coordinator.drain_inline(job.job_id)
-                last_activity = activity
 
     def _retire(self, job: Job) -> None:
         """Record a settled job, evict beyond the retention bound and wake

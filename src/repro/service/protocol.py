@@ -31,7 +31,9 @@ POST      ``/distributed/lease``       worker pull: one shard lease descriptor,
 POST      ``/distributed/push``        worker push: raw shard bytes (the
                                        ``X-Shard-*`` headers carry identity and
                                        digest); 409 ``shard-rejected`` on a
-                                       failed verification, which requeues
+                                       failed verification, which requeues;
+                                       404 ``unknown-study`` once the study
+                                       is handed back (the worker drops it)
 POST      ``/distributed/fail``        cooperative failure report for a lease
 ========  ===========================  ==========================================
 
@@ -148,7 +150,8 @@ ERR_EXECUTION = "execution-error"            # job-status error field: run_study
 ERR_CONNECTION = "connection-failed"         # client side: server unreachable
 ERR_TIMEOUT = "client-timeout"               # client side: wait() deadline expired
 ERR_SHARD_REJECTED = "shard-rejected"        # 409: push failed hash/size verification
-ERR_UNKNOWN_STUDY = "unknown-study"          # 404: push/fail names no registered study
+ERR_UNKNOWN_STUDY = "unknown-study"          # 404: push names a study not held (never
+                                             # registered, or already handed back)
 ERR_NOT_DISTRIBUTED = "not-distributed"      # 409: /distributed/* on a plain server
 
 #: Identity and verification headers of a raw-bytes shard push.

@@ -40,7 +40,7 @@ from urllib.parse import parse_qs
 from .. import __version__
 from ..backends import DEFAULT_BACKEND, available_backends, capabilities
 from ..distributed.scheduler import DEFAULT_SCHEDULER
-from ..exceptions import PushRejected, ValidationError
+from ..exceptions import PushRejected, UnknownStudy, ValidationError
 from ..faults import SITE_HTTP_CONNECTION, SITE_HTTP_SLOW, FaultPlan
 from ..studies import StudyCache
 from ..studies.executor import DEFAULT_SHARD_SIZE
@@ -321,10 +321,6 @@ class _Handler(BaseHTTPRequestHandler):
         coordinator = self._coordinator()
         raw = self._read_body(limit=MAX_PUSH_BYTES)
         study_id = self.headers.get(HEADER_SHARD_STUDY, "")
-        if not coordinator.has_study(study_id):
-            raise ServiceError(
-                ERR_UNKNOWN_STUDY, f"no registered study {study_id!r}", status=404
-            )
         try:
             shard_index = int(self.headers.get(HEADER_SHARD_INDEX, ""))
         except ValueError:
@@ -344,6 +340,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServiceError(
                 ERR_SHARD_REJECTED, str(exc), status=409, reason=exc.reason
             ) from exc
+        except UnknownStudy as exc:
+            raise ServiceError(ERR_UNKNOWN_STUDY, str(exc), status=404) from exc
         except ValidationError as exc:
             raise ServiceError(ERR_INVALID_JSON, str(exc), status=400) from exc
         return 200, {"api_version": API_VERSION, **body}, {}
@@ -448,7 +446,7 @@ class StudyServer:
         A :class:`StudyCache`, a directory path to back one, or ``None``
         to serve without a shard store (jobs still deduplicate in-process
         by content-hash id).
-    queue_size, job_workers, executor_workers, shard_size:
+    queue_size, job_workers, shard_size:
         Forwarded to :class:`JobManager`.
     journal:
         Optional :class:`~repro.service.journal.JobJournal` (or path):
@@ -485,7 +483,6 @@ class StudyServer:
         cache: StudyCache | str | Path | None = None,
         queue_size: int = 64,
         job_workers: int = 2,
-        executor_workers: int = 1,
         shard_size: int = DEFAULT_SHARD_SIZE,
         max_retained_jobs: int = 1024,
         journal: JobJournal | str | Path | None = None,
@@ -518,7 +515,6 @@ class StudyServer:
             cache=cache,
             queue_size=queue_size,
             job_workers=job_workers,
-            executor_workers=executor_workers,
             shard_size=shard_size,
             max_retained_jobs=max_retained_jobs,
             journal=journal,

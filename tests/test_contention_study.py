@@ -200,7 +200,7 @@ class TestByteIdentity:
         sid = coord.register_study(SPEC, shard_size=SHARD_SIZE)
         if num_workers == 0:
             coord.drain_inline(sid)
-            assert coord.results(sid).artifact_bytes() == reference_bytes
+            assert coord.wait(sid).artifact_bytes() == reference_bytes
             return
         stop = threading.Event()
         workers = [

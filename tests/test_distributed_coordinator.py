@@ -10,7 +10,7 @@ import pytest
 pytestmark = pytest.mark.distributed
 
 from repro.distributed import ShardCoordinator
-from repro.exceptions import PushRejected, ShardError, ValidationError
+from repro.exceptions import PushRejected, ShardError, UnknownStudy, ValidationError
 from repro.faults import SITE_SHARD_EVAL, FaultPlan, FaultRule
 from repro.studies import ScenarioSpec, StudyCache, run_study, study_key
 from repro.studies.executor import StudyPlan, _run_shard
@@ -81,14 +81,24 @@ class TestLeasing:
         with pytest.raises(ValidationError, match="already registered"):
             coord.register_study(SPEC, shard_size=SHARD_SIZE)
 
-    def test_settled_study_is_replaced_on_reregistration(self):
+    def test_handed_back_study_reregisters(self):
         coord = make()
         sid = coord.register_study(SPEC, shard_size=SHARD_SIZE)
         coord.drain_inline(sid)
-        assert coord.results(sid).num_points == SPEC.num_points
-        # A settled id re-registers cleanly (the evicted-job resubmission).
-        assert coord.register_study(SPEC, shard_size=SHARD_SIZE) == sid
-        assert coord.progress_snapshot(sid)["done"] == 0
+        assert coord.wait(sid).num_points == SPEC.num_points
+        # A handed-back id re-registers cleanly (the evicted-job resubmission).
+        landed = []
+        assert coord.register_study(
+            SPEC, shard_size=SHARD_SIZE, progress=lambda *event: landed.append(event)
+        ) == sid
+        assert len(landed) == 0
+
+    def test_settled_study_is_held_until_waited(self):
+        coord = make()
+        sid = coord.register_study(SPEC, shard_size=SHARD_SIZE)
+        coord.drain_inline(sid)
+        with pytest.raises(ValidationError, match="already registered"):
+            coord.register_study(SPEC, shard_size=SHARD_SIZE)
 
 
 class TestLeaseExpiry:
@@ -103,7 +113,7 @@ class TestLeaseExpiry:
         assert second["shard_index"] == k  # the shard comes back to its owner
         assert second["attempt"] == first["attempt"] + 1
         assert coord.stats.requeues == 1
-        assert coord.progress_snapshot(sid)["done"] == 0
+        assert len(coord._study(sid).run.done) == 0
 
     def test_unexpired_lease_blocks_redispatch(self):
         clock = FakeClock()
@@ -136,7 +146,7 @@ class TestLeaseExpiry:
         assert again["shard_index"] == lease["shard_index"]
         assert again["attempt"] == 1
         assert coord.stats.worker_failures == 1
-        assert coord.progress_snapshot(sid)["pending"] == 3
+        assert len(coord._study(sid).run.pending) == 3
 
 
 class TestRequeueAccounting:
@@ -191,7 +201,7 @@ class TestRequeueAccounting:
                 "requeue budget did not bound the corrupt-push loop"
             )
         with pytest.raises(ShardError, match="rejected"):
-            coord.results(sid)
+            coord.wait(sid)
         assert coord.stats.rejected_pushes == rejections
         assert coord.stats.requeues == rejections
 
@@ -241,14 +251,30 @@ class TestRequeueAccounting:
         assert waited.value is err
         assert time.monotonic() - started < 1.0
         assert coord.health()["studies_active"] == 0
-        assert coord.register_study(SPEC, shard_size=SHARD_SIZE) == sid
-        assert coord.progress_snapshot(sid)["done"] == 0
+        landed = []
+        assert coord.register_study(
+            SPEC, shard_size=SHARD_SIZE, progress=lambda *event: landed.append(event)
+        ) == sid
+        assert len(landed) == 0
+
+
+def tally_workers(attribution):
+    """A progress callback counting each worker's landings into ``attribution``."""
+
+    def progress(k, from_cache, done, total, worker_id):
+        if worker_id is not None:
+            attribution[worker_id] = attribution.get(worker_id, 0) + 1
+
+    return progress
 
 
 class TestPushVerification:
     def setup_method(self):
         self.coord = make()
-        self.sid = self.coord.register_study(SPEC, shard_size=SHARD_SIZE)
+        self.attribution = {}
+        self.sid = self.coord.register_study(
+            SPEC, shard_size=SHARD_SIZE, progress=tally_workers(self.attribution)
+        )
         self.study = self.coord._study(self.sid)
 
     def test_verified_push_lands(self):
@@ -259,7 +285,7 @@ class TestPushVerification:
             self.sid, k, data, digest, worker_id="w0", lease_id=lease["lease_id"]
         )
         assert out == {"accepted": True, "duplicate": False, "done": 1, "total": 4}
-        assert self.coord.worker_shards(self.sid) == {"w0": 1}
+        assert self.attribution == {"w0": 1}
 
     def test_duplicate_push_is_idempotent_accept(self):
         lease = self.coord.lease("w0")
@@ -272,7 +298,7 @@ class TestPushVerification:
         assert bytes(self.study.run.table) == before  # first landing wins
         assert self.coord.stats.duplicate_pushes == 1
         # The late pusher gets no attribution: the shard landed once.
-        assert self.coord.worker_shards(self.sid) == {"w0": 1}
+        assert self.attribution == {"w0": 1}
 
     def test_hash_mismatch_rejected_and_requeued(self):
         lease = self.coord.lease("w0")
@@ -313,7 +339,7 @@ class TestPushVerification:
             self.coord.push(self.sid, 99, b"", hashlib.sha256(b"").hexdigest())
 
     def test_unknown_study_rejected(self):
-        with pytest.raises(ValidationError, match="unknown study"):
+        with pytest.raises(UnknownStudy, match="unknown study"):
             self.coord.push("nope", 0, b"", "")
         assert not self.coord.has_study("nope")
         assert self.coord.has_study(self.sid)
@@ -325,7 +351,7 @@ class TestInlineAndCache:
         sid = coord.register_study(SPEC, shard_size=SHARD_SIZE)
         coord.drain_inline(sid)
         local = run_study(SPEC, shard_size=SHARD_SIZE)
-        assert coord.results(sid).table.tobytes() == local.table.tobytes()
+        assert coord.wait(sid).table.tobytes() == local.table.tobytes()
         assert coord.stats.inline_shards == 4
 
     def test_registration_pre_pass_serves_cached_shards(self, tmp_path):
@@ -336,7 +362,7 @@ class TestInlineAndCache:
         assert coord.stats.cache_served_shards == 4
         assert coord.lease("w0") is None  # nothing left to dispatch
         local = run_study(SPEC, shard_size=SHARD_SIZE)
-        assert coord.results(sid).table.tobytes() == local.table.tobytes()
+        assert coord.wait(sid).table.tobytes() == local.table.tobytes()
 
     def test_pushed_shards_populate_the_shared_cache(self, tmp_path):
         cache = StudyCache(tmp_path / "cache")
@@ -346,11 +372,11 @@ class TestInlineAndCache:
             k = lease["shard_index"]
             data, digest = shard_bytes(SPEC, k)
             coord.push(sid, k, data, digest, worker_id="w0")
-        coord.wait(sid, timeout=5.0)
+        results = coord.wait(sid, timeout=5.0)
         # A local run over the same cache now re-serves every shard.
         warm = run_study(SPEC, shard_size=SHARD_SIZE, cache=cache)
         assert cache.hits == 4
-        assert warm.table.tobytes() == coord.results(sid).table.tobytes()
+        assert warm.table.tobytes() == results.table.tobytes()
 
     def test_progress_callback_sees_every_landing(self):
         events = []
@@ -374,8 +400,11 @@ class TestInlineAndCache:
         # A job reads its progress record once wait() returns, so the study
         # must not settle while the final shard's progress is still running.
         entered, release = threading.Event(), threading.Event()
+        attribution = {}
+        tally = tally_workers(attribution)
 
         def progress(k, cached, done, total, wid):
+            tally(k, cached, done, total, wid)
             if done == total:
                 entered.set()
                 release.wait(10.0)
@@ -398,7 +427,7 @@ class TestInlineAndCache:
             pusher.join(10.0)
         assert not pusher.is_alive()
         assert coord.wait(sid, timeout=5.0).num_points == SPEC.num_points
-        assert coord.worker_shards(sid) == {"w0": 4}
+        assert attribution == {"w0": 4}
 
     def test_health_reports_fleet_and_dispatch_state(self):
         coord = make()
@@ -411,3 +440,77 @@ class TestInlineAndCache:
         assert health["studies_active"] == 1
         assert health["leases_granted"] == 2
         assert health["scheduler"] == "static"
+
+
+class TestLifecycle:
+    """A study lives from ``register_study`` to ``wait``: ``wait`` owns the
+    stall rule on the coordinator's clock and forgets the study it hands
+    back, with every lease that still names it."""
+
+    def test_wait_drains_a_stalled_study_on_the_coordinator_clock(self):
+        clock = FakeClock()
+        coord = make(clock=clock, lease_ttl_s=30.0)  # stall interval: 30 s
+        sid = coord.register_study(SPEC, shard_size=SHARD_SIZE)
+        handed_back = []
+        waiter = threading.Thread(
+            target=lambda: handed_back.append(coord.wait(sid)), daemon=True
+        )
+        started = time.monotonic()
+        waiter.start()
+        waiter.join(0.3)
+        assert waiter.is_alive()  # the fake clock has not moved: no stall yet
+        assert coord.stats.inline_shards == 0
+        clock.now += 30.5
+        waiter.join(10.0)
+        assert not waiter.is_alive()
+        assert time.monotonic() - started < 10.0  # far less than 30 s of real time
+        local = run_study(SPEC, shard_size=SHARD_SIZE)
+        assert handed_back[0].artifact_bytes() == local.artifact_bytes()
+        assert coord.stats.inline_shards == 4
+        assert not coord.has_study(sid)
+
+    def test_wait_timeout_leaves_the_study_registered(self):
+        clock = FakeClock()
+        coord = make(clock=clock, lease_ttl_s=30.0)
+        sid = coord.register_study(SPEC, shard_size=SHARD_SIZE)
+        caught = []
+
+        def waiter():
+            try:
+                coord.wait(sid, timeout=5.0)
+            except TimeoutError as exc:
+                caught.append(exc)
+
+        thread = threading.Thread(target=waiter, daemon=True)
+        thread.start()
+        thread.join(0.2)
+        clock.now += 6.0  # past the timeout, short of the stall interval
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert len(caught) == 1
+        assert coord.has_study(sid)
+        assert coord.stats.inline_shards == 0
+
+    def test_lease_out_at_hand_back_is_forgotten_with_its_study(self):
+        clock = FakeClock()
+        coord = make(clock=clock, lease_ttl_s=10.0, max_requeues=1)
+        sid = coord.register_study(SPEC, shard_size=SHARD_SIZE)
+        held = coord.lease("w0")
+        k = held["shard_index"]
+        doomed = (k + 1) % 4
+        plan = FaultPlan([FaultRule(site=SITE_SHARD_EVAL, keys=(doomed,), times=1000)])
+        with pytest.raises(ShardError):
+            coord.drain_inline(sid, faults=plan)
+        with pytest.raises(ShardError):
+            coord.wait(sid)
+        assert not coord.has_study(sid)
+        assert coord.health()["outstanding_leases"] == 0
+        clock.now += 11.0  # the held lease's deadline passes
+        assert coord.lease("w1") is None  # expiry runs and finds nothing to requeue
+        assert coord.stats.requeues == 0
+        # The worker that held it comes back late: refused, not a KeyError.
+        data, digest = shard_bytes(SPEC, k)
+        with pytest.raises(UnknownStudy):
+            coord.push(sid, k, data, digest, worker_id="w0", lease_id=held["lease_id"])
+        coord.fail(held["lease_id"], "too late")  # a no-op, not an error
+        assert coord.stats.worker_failures == 0

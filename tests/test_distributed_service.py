@@ -370,3 +370,65 @@ def test_stop_finishes_an_in_flight_job_without_waiting_out_leases():
     artifact, status = server.manager.artifact(job_id)
     assert status["state"] == "done"
     assert artifact == run_study(spec, shard_size=5).artifact_bytes()
+
+
+# --------------------------------------------------------------------- #
+# Lifecycle: the coordinator forgets each study it hands back
+# --------------------------------------------------------------------- #
+def test_finished_jobs_leave_nothing_in_the_coordinator(server):
+    workers, join = attach_workers(server, 1)
+    try:
+        wait_for_workers(server, 1)
+        job_ids = []
+        for lps in ([1, 2, 3], [4, 5, 6], [7, 8, 9]):
+            payload = {**SPEC_PAYLOAD, "axes": {**SPEC_PAYLOAD["axes"], "lps": lps}}
+            status, _, body = request(server, "POST", "/studies", payload)
+            assert status == 202
+            job_ids.append(json.loads(body)["job_id"])
+            assert wait_done(server, job_ids[-1])["state"] == "done"
+    finally:
+        join()
+    for job_id in job_ids:
+        assert not server.coordinator.has_study(job_id)
+    health = server.coordinator.health()
+    assert health["studies_active"] == 0
+    assert health["outstanding_leases"] == 0
+
+
+def test_worker_drops_a_push_for_a_handed_back_study(server):
+    # A rival lands the worker's shard over HTTP and the job finishes, so
+    # the worker's own push names a study the coordinator handed back:
+    # 404 unknown-study.  The worker drops it and completes its next lease.
+    late = {"name": "late", "axes": {"lps": [1, 2, 3]}}  # one shard
+    after = {"name": "after", "axes": {"lps": [4, 5, 6]}}
+    transport = HttpCoordinatorTransport(server.url)
+    push = transport.push
+    ids = {}
+
+    def rival_lands_first(study_id, shard_index, data, digest, **kwargs):
+        if study_id == ids["late"] and "after" not in ids:
+            lease = {"study_id": study_id, "shard_index": shard_index,
+                     "lease_id": kwargs["lease_id"]}
+            status, _, _ = request(
+                server, "POST", "/distributed/push",
+                raw_body=data, headers=push_headers(lease, data, worker_id="rival"),
+            )
+            assert status == 200
+            assert wait_done(server, study_id)["state"] == "done"
+            _, _, body = request(server, "POST", "/studies", after)
+            ids["after"] = json.loads(body)["job_id"]
+        return push(study_id, shard_index, data, digest, **kwargs)
+
+    transport.push = rival_lands_first
+    _, _, body = request(server, "POST", "/studies", late)
+    ids["late"] = json.loads(body)["job_id"]
+    worker = ShardWorker(transport, worker_id="hw0", faults=NO_FAULTS, poll_s=0.01)
+    stats = worker.run(max_shards=2)
+    assert stats.dropped_shards == 1
+    assert stats.shards_completed == 1
+    snapshot = wait_done(server, ids["after"])
+    assert snapshot["progress"]["workers"] == {"hw0": 1}
+    _, _, artifact = request(server, "GET", f"/studies/{ids['after']}/artifact")
+    assert artifact == run_study(
+        ScenarioSpec.from_dict(after), shard_size=SHARD_SIZE
+    ).artifact_bytes()

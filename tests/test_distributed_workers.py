@@ -25,7 +25,7 @@ from repro.faults import (
     FaultPlan,
     FaultRule,
 )
-from repro.studies import ScenarioSpec, executor, run_study, shard_ranges
+from repro.studies import ScenarioSpec, executor, run_study, shard_ranges, study_key
 from repro.studies.executor import RetryPolicy
 
 
@@ -52,13 +52,25 @@ def reference_bytes():
     return run_study(SPEC, workers=2, shard_size=SHARD_SIZE).artifact_bytes()
 
 
-def run_distributed(num_workers, scheduler="static", worker_plans=None, spec=SPEC):
+def tally_workers(attribution):
+    """A progress callback counting each worker's landings into ``attribution``."""
+
+    def progress(k, from_cache, done, total, worker_id):
+        if worker_id is not None:
+            attribution[worker_id] = attribution.get(worker_id, 0) + 1
+
+    return progress
+
+
+def run_distributed(
+    num_workers, scheduler="static", worker_plans=None, spec=SPEC, progress=None
+):
     """One coordinated run with ``num_workers`` in-process worker threads."""
     coord = ShardCoordinator(scheduler=scheduler, lease_ttl_s=0.2)
-    sid = coord.register_study(spec, shard_size=SHARD_SIZE)
+    sid = coord.register_study(spec, shard_size=SHARD_SIZE, progress=progress)
     if num_workers == 0:
         coord.drain_inline(sid, faults=NO_FAULTS)
-        return coord.results(sid).artifact_bytes(), coord, []
+        return coord.wait(sid).artifact_bytes(), coord, []
     stop = threading.Event()
     workers = [
         ShardWorker(
@@ -120,9 +132,8 @@ class TestTopologyByteIdentity:
         assert artifact == local
 
     def test_worker_attribution_covers_every_computed_shard(self):
-        _, coord, workers = run_distributed(3)
-        sid = next(iter(coord._studies))
-        attribution = coord.worker_shards(sid)
+        attribution = {}
+        _, coord, workers = run_distributed(3, progress=tally_workers(attribution))
         assert sum(attribution.values()) == 8
         assert set(attribution) <= {"w0", "w1", "w2"}
         assert sum(w.stats.shards_completed for w in workers) == 8
@@ -133,7 +144,10 @@ class TestTopologyByteIdentity:
         # threads than cores and a tiny switch interval, every shard must
         # still land exactly once, and the bytes must not move.
         coord = ShardCoordinator(lease_ttl_s=30.0)
-        sid = coord.register_study(SPEC, shard_size=SHARD_SIZE)
+        attribution = {}
+        sid = coord.register_study(
+            SPEC, shard_size=SHARD_SIZE, progress=tally_workers(attribution)
+        )
         stop = threading.Event()
         workers = [
             ShardWorker(
@@ -159,7 +173,7 @@ class TestTopologyByteIdentity:
         assert not any(t.is_alive() for t in threads)
         assert results.artifact_bytes() == reference_bytes
         health = coord.health()
-        assert health["inline_shards"] + sum(coord.worker_shards(sid).values()) == 8
+        assert health["inline_shards"] + sum(attribution.values()) == 8
         assert health["duplicate_pushes"] == 0
 
 
@@ -318,4 +332,32 @@ class TestWorkerLoop:
             assert worker.run(max_shards=shards).died is False
             assert len(decoded) == 1
             expected = run_study(spec, shard_size=SHARD_SIZE).artifact_bytes()
-            assert coord.results("same").artifact_bytes() == expected
+            assert coord.wait("same").artifact_bytes() == expected
+
+    def test_push_for_a_handed_back_study_is_dropped(self):
+        # A rival lands the worker's shard first and the study is handed
+        # back: the worker's own push is a late duplicate the coordinator
+        # refuses.  The worker drops it and completes its next lease.
+        coord = ShardCoordinator()
+        late = ScenarioSpec(name="late", axes={"lps": [1, 2, 3]})  # one shard
+        after = ScenarioSpec(name="after", axes={"lps": [4, 5, 6]})
+        first = coord.register_study(late, shard_size=SHARD_SIZE)
+
+        class RivalLandsFirst:
+            def lease(self, worker_id):
+                return coord.lease(worker_id)
+
+            def push(self, study_id, shard_index, data, digest, **kwargs):
+                if study_id == first and coord.has_study(first):
+                    coord.push(study_id, shard_index, data, digest, worker_id="rival")
+                    coord.wait(first)
+                    coord.register_study(after, shard_size=SHARD_SIZE)
+                return coord.push(study_id, shard_index, data, digest, **kwargs)
+
+        worker = ShardWorker(RivalLandsFirst(), worker_id="w0", faults=NO_FAULTS, poll_s=0.0)
+        stats = worker.run(max_shards=2)
+        assert stats.dropped_shards == 1
+        assert stats.shards_completed == 1
+        assert not coord.has_study(first)
+        expected = run_study(after, shard_size=SHARD_SIZE).artifact_bytes()
+        assert coord.wait(study_key(after, SHARD_SIZE)).artifact_bytes() == expected
