@@ -437,12 +437,6 @@ class ShardCoordinator:
                 **self.stats.as_dict(),
             }
 
-    def has_study(self, study_id: str) -> bool:
-        """Whether the coordinator holds ``study_id``: registered and not
-        yet handed back by :meth:`wait`."""
-        with self._lock:
-            return study_id in self._studies
-
     # ------------------------------------------------------------------ #
     # Internals (call with the lock held)
     # ------------------------------------------------------------------ #

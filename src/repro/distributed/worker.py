@@ -243,7 +243,7 @@ class ShardWorker:
             if max_shards is not None and completed >= max_shards:
                 return self.stats
             lease = self._retrying(
-                SITE_WORKER_PULL, 0, f"lease pull {self.stats.pulls + 1}",
+                SITE_WORKER_PULL, 0, "pull_faults", f"lease pull {self.stats.pulls + 1}",
                 lambda: self.transport.lease(self.worker_id),
             )
             self.stats.pulls += 1
@@ -287,7 +287,7 @@ class ShardWorker:
         digest = hashlib.sha256(data).hexdigest()
         try:
             body = self._retrying(
-                SITE_WORKER_PUSH, k, f"shard {k} push",
+                SITE_WORKER_PUSH, k, "push_faults", f"shard {k} push",
                 lambda: self.transport.push(
                     lease["study_id"], k, data, digest,
                     worker_id=self.worker_id, lease_id=lease.get("lease_id"),
@@ -313,11 +313,13 @@ class ShardWorker:
         return plan
 
     def _retrying(
-        self, site: str, key: int, what: str, verb: Callable[[], dict | None]
+        self, site: str, key: int, tally: str, what: str,
+        verb: Callable[[], dict | None],
     ) -> dict | None:
         """``verb()`` under the ``site`` fault check, with transport faults
-        counted and retried after seeded backoff; :class:`DistributedError`
-        once ``retry.max_attempts`` calls have failed.
+        counted in the ``tally`` stats field and retried after seeded
+        backoff; :class:`DistributedError` once ``retry.max_attempts``
+        calls have failed.
 
         :class:`PushRejected` is raised after one call: the coordinator
         has requeued the shard, and the same bytes would be refused again.
@@ -333,10 +335,7 @@ class ShardWorker:
             except PushRejected:
                 raise  # caught ahead of its DistributedError base
             except (FaultInjected, DistributedError) as exc:
-                if site == SITE_WORKER_PULL:
-                    self.stats.pull_faults += 1
-                else:
-                    self.stats.push_faults += 1
+                setattr(self.stats, tally, getattr(self.stats, tally) + 1)
                 if attempt + 1 >= self.retry.max_attempts:
                     raise DistributedError(
                         f"{what} failed after {attempt + 1} attempts: {exc}"

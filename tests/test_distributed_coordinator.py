@@ -15,6 +15,8 @@ from repro.faults import SITE_SHARD_EVAL, FaultPlan, FaultRule
 from repro.studies import ScenarioSpec, StudyCache, run_study, study_key
 from repro.studies.executor import StudyPlan, _run_shard
 
+from _fleet import tally_workers
+
 
 SPEC = ScenarioSpec(
     name="coord",
@@ -87,11 +89,10 @@ class TestLeasing:
         coord.drain_inline(sid)
         assert coord.wait(sid).num_points == SPEC.num_points
         # A handed-back id re-registers cleanly (the evicted-job resubmission).
-        landed = []
-        assert coord.register_study(
-            SPEC, shard_size=SHARD_SIZE, progress=lambda *event: landed.append(event)
-        ) == sid
-        assert len(landed) == 0
+        assert coord.register_study(SPEC, shard_size=SHARD_SIZE) == sid
+        fresh = coord._study(sid).run
+        assert len(fresh.done) == 0
+        assert not fresh.settled.is_set()
 
     def test_settled_study_is_held_until_waited(self):
         coord = make()
@@ -251,21 +252,10 @@ class TestRequeueAccounting:
         assert waited.value is err
         assert time.monotonic() - started < 1.0
         assert coord.health()["studies_active"] == 0
-        landed = []
-        assert coord.register_study(
-            SPEC, shard_size=SHARD_SIZE, progress=lambda *event: landed.append(event)
-        ) == sid
-        assert len(landed) == 0
-
-
-def tally_workers(attribution):
-    """A progress callback counting each worker's landings into ``attribution``."""
-
-    def progress(k, from_cache, done, total, worker_id):
-        if worker_id is not None:
-            attribution[worker_id] = attribution.get(worker_id, 0) + 1
-
-    return progress
+        assert coord.register_study(SPEC, shard_size=SHARD_SIZE) == sid
+        fresh = coord._study(sid).run
+        assert len(fresh.done) == 0
+        assert not fresh.settled.is_set()
 
 
 class TestPushVerification:
@@ -341,8 +331,8 @@ class TestPushVerification:
     def test_unknown_study_rejected(self):
         with pytest.raises(UnknownStudy, match="unknown study"):
             self.coord.push("nope", 0, b"", "")
-        assert not self.coord.has_study("nope")
-        assert self.coord.has_study(self.sid)
+        assert "nope" not in self.coord._studies
+        assert self.sid in self.coord._studies
 
 
 class TestInlineAndCache:
@@ -467,7 +457,7 @@ class TestLifecycle:
         local = run_study(SPEC, shard_size=SHARD_SIZE)
         assert handed_back[0].artifact_bytes() == local.artifact_bytes()
         assert coord.stats.inline_shards == 4
-        assert not coord.has_study(sid)
+        assert sid not in coord._studies
 
     def test_wait_timeout_leaves_the_study_registered(self):
         clock = FakeClock()
@@ -488,7 +478,7 @@ class TestLifecycle:
         thread.join(10.0)
         assert not thread.is_alive()
         assert len(caught) == 1
-        assert coord.has_study(sid)
+        assert sid in coord._studies
         assert coord.stats.inline_shards == 0
 
     def test_lease_out_at_hand_back_is_forgotten_with_its_study(self):
@@ -503,7 +493,7 @@ class TestLifecycle:
             coord.drain_inline(sid, faults=plan)
         with pytest.raises(ShardError):
             coord.wait(sid)
-        assert not coord.has_study(sid)
+        assert sid not in coord._studies
         assert coord.health()["outstanding_leases"] == 0
         clock.now += 11.0  # the held lease's deadline passes
         assert coord.lease("w1") is None  # expiry runs and finds nothing to requeue

@@ -358,7 +358,7 @@ def test_stop_finishes_an_in_flight_job_without_waiting_out_leases():
         snapshot, _ = server.manager.submit(spec)
         job_id = snapshot["job_id"]
         deadline = time.monotonic() + 10.0
-        while not server.coordinator.has_study(job_id):
+        while job_id not in server.coordinator._studies:
             assert time.monotonic() < deadline, "job never registered its study"
             time.sleep(0.005)
         assert server.coordinator.lease("ghost") is not None
@@ -389,7 +389,7 @@ def test_finished_jobs_leave_nothing_in_the_coordinator(server):
     finally:
         join()
     for job_id in job_ids:
-        assert not server.coordinator.has_study(job_id)
+        assert job_id not in server.coordinator._studies
     health = server.coordinator.health()
     assert health["studies_active"] == 0
     assert health["outstanding_leases"] == 0

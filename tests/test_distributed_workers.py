@@ -9,6 +9,7 @@ local ProcessPool run byte for byte.
 
 import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -27,6 +28,8 @@ from repro.faults import (
 )
 from repro.studies import ScenarioSpec, executor, run_study, shard_ranges, study_key
 from repro.studies.executor import RetryPolicy
+
+from _fleet import tally_workers
 
 
 SPEC = ScenarioSpec(
@@ -52,21 +55,39 @@ def reference_bytes():
     return run_study(SPEC, workers=2, shard_size=SHARD_SIZE).artifact_bytes()
 
 
-def tally_workers(attribution):
-    """A progress callback counting each worker's landings into ``attribution``."""
+class PauseCappedClock:
+    """Real elapsed time, but no reading runs more than ``max_step_s``
+    past the one before it.  ``wait`` reads the clock every 0.05 s, so a
+    host pause of the whole test process (descheduling, a GC sweep) moves
+    this clock by at most one step: lease expiry stays fast, while the
+    stall rule only fires after a second the workers could have used."""
 
-    def progress(k, from_cache, done, total, worker_id):
-        if worker_id is not None:
-            attribution[worker_id] = attribution.get(worker_id, 0) + 1
+    def __init__(self, max_step_s=0.1):
+        self.max_step_s = max_step_s
+        self._lock = threading.Lock()
+        self._last = time.monotonic()
+        self._now = 0.0
 
-    return progress
+    def __call__(self):
+        with self._lock:
+            real = time.monotonic()
+            self._now += min(real - self._last, self.max_step_s)
+            self._last = real
+            return self._now
 
 
 def run_distributed(
     num_workers, scheduler="static", worker_plans=None, spec=SPEC, progress=None
 ):
-    """One coordinated run with ``num_workers`` in-process worker threads."""
-    coord = ShardCoordinator(scheduler=scheduler, lease_ttl_s=0.2)
+    """One coordinated run with ``num_workers`` in-process worker threads.
+
+    ``wait`` applies the stall rule (inline drain after 1 s without a
+    lease, a landing or a new worker), which the attribution assertions
+    must not see; the coordinator runs on a :class:`PauseCappedClock` so
+    a host pause cannot trip it."""
+    coord = ShardCoordinator(
+        scheduler=scheduler, lease_ttl_s=0.2, clock=PauseCappedClock()
+    )
     sid = coord.register_study(spec, shard_size=SHARD_SIZE, progress=progress)
     if num_workers == 0:
         coord.drain_inline(sid, faults=NO_FAULTS)
@@ -348,7 +369,7 @@ class TestWorkerLoop:
                 return coord.lease(worker_id)
 
             def push(self, study_id, shard_index, data, digest, **kwargs):
-                if study_id == first and coord.has_study(first):
+                if study_id == first and first in coord._studies:
                     coord.push(study_id, shard_index, data, digest, worker_id="rival")
                     coord.wait(first)
                     coord.register_study(after, shard_size=SHARD_SIZE)
@@ -358,6 +379,6 @@ class TestWorkerLoop:
         stats = worker.run(max_shards=2)
         assert stats.dropped_shards == 1
         assert stats.shards_completed == 1
-        assert not coord.has_study(first)
+        assert first not in coord._studies
         expected = run_study(after, shard_size=SHARD_SIZE).artifact_bytes()
         assert coord.wait(study_key(after, SHARD_SIZE)).artifact_bytes() == expected
