@@ -86,7 +86,7 @@ SEED_BASELINE_SECONDS: dict[str, float | None] = {
     # tests/test_perf_harness.py).
     "study_faulted": 0.03964,
     # The study_distributed baseline is the identical workload (same grid,
-    # same shard_size=250) through plain run_study(workers=1), measured
+    # same shard_size=250) through plain inline run_study, measured
     # best-of-5 when the coordinator/worker subsystem landed.
     # speedup_vs_seed therefore prices the distributed machinery directly —
     # lease bookkeeping, sha256 verification on every push, the scheduler

@@ -49,6 +49,12 @@ echo "== bytecode compile gate =="
 python -m compileall -q src
 
 echo
+echo "== code-line count (informational, not a gate) =="
+# The tokenize count PRs quote for src/repro: comment, blank and docstring
+# lines excluded.  `python scripts/codelines.py src/repro` lists every file.
+echo "src/repro: $(python scripts/codelines.py --total src/repro) code lines"
+
+echo
 echo "== tier-1 test suite =="
 python -m pytest -x -q
 

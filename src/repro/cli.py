@@ -8,8 +8,8 @@ Nine commands cover the everyday uses of the library:
 * ``embed``   — minor-embed a random graph and report chain statistics;
 * ``fig9``    — print the three Fig. 9 series from the ASPEN artifacts;
 * ``study``   — evaluate a declarative parameter-space study (a whole grid
-  of operating points) through the sharded executor, write the results
-  artifact, and print the dominance/scaling summary;
+  of operating points) in-process through the sharded executor, write
+  the results artifact, and print the dominance/scaling summary;
 * ``serve``   — run the study job service (:mod:`repro.service`): an HTTP
   server accepting spec submissions and serving byte-stable artifacts;
 * ``submit``  — send a study to a running service, wait for it, and write
@@ -22,6 +22,10 @@ Nine commands cover the everyday uses of the library:
 * ``worker``  — one shard worker pulling leases from a ``coordinate``
   server, evaluating them through the backend registry, and pushing
   content-hash-verified shard bytes back.
+
+A multi-process run of a study is ``coordinate`` plus as many ``worker``
+processes as wanted, with the study sent by ``submit``; ``study`` itself
+evaluates in one process.
 
 ``predict``, ``fig9``, and ``study`` accept ``--backend``: any name from
 the performance-backend registry (:mod:`repro.backends`) — for ``study``
@@ -95,13 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "study",
         help="evaluate a parameter-space study over the performance models",
-        description="Evaluate a cartesian grid of operating points through the "
-        "sharded study executor.  Describe the grid either with a JSON spec "
-        "file (--spec) or inline axis flags; axis flags accept comma lists "
-        "(0.9,0.99) and, for --lps, start:stop[:step] ranges.",
+        description="Evaluate a cartesian grid of operating points in-process "
+        "through the sharded study executor.  Describe the grid either with a "
+        "JSON spec file (--spec) or inline axis flags; axis flags accept comma "
+        "lists (0.9,0.99) and, for --lps, start:stop[:step] ranges.  To run "
+        "a study across processes, start `coordinate` and `worker` processes "
+        "and send it with `submit`; the artifact is byte-identical at the same "
+        "--shard-size.",
     )
     _add_spec_flags(p)
-    p.add_argument("--workers", type=int, default=1, help="executor process count")
     p.add_argument("--shard-size", type=int, default=None,
                    help="points per shard (fixes the shard grid; see DESIGN.md)")
     p.add_argument("--scalar", action="store_true",
@@ -501,7 +507,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         results = run_study(
             spec,
-            workers=args.workers,
             shard_size=shard_size,
             vectorize=not args.scalar,
             cache=cache,
@@ -515,7 +520,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         print(study_summary(results))
         print()
     print(f"evaluated {results.num_points} points "
-          f"(workers={args.workers}, shard_size={shard_size}, "
+          f"(shard_size={shard_size}, "
           f"{'scalar' if args.scalar else 'vectorized'})")
     if cache is not None:
         print(f"cache: served {cache.hits}/{cache.requests} shards from cache")

@@ -14,7 +14,7 @@ those shards out:
   coordinate``) it speaks the existing HTTP protocol.
 * :class:`~repro.distributed.worker.ShardWorker` — the pull loop (``cli
   worker --coordinator URL``): lease, evaluate via the same
-  ``_run_shard`` the ProcessPool path uses, push bytes + digest, honoring
+  ``_run_shard`` the inline loop uses, push bytes + digest, honoring
   the ``worker-pull`` / ``worker-push`` / ``worker-death`` fault sites.
 * :mod:`~repro.distributed.scheduler` — the pluggable strategy protocol
   (``static`` / ``work-stealing`` / ``size-aware``), driving both live

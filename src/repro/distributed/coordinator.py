@@ -340,13 +340,17 @@ class ShardCoordinator:
         shard_index: int,
         data: bytes,
         digest: str,
-        worker_id: str = "",
+        worker_id: str,
         lease_id: str | None = None,
     ) -> dict:
         """Verify and land one computed shard; idempotent for landed shards.
 
+        ``worker_id`` must be non-empty, as for :meth:`lease`: the
+        progress feed's ``None`` is kept for inline-drained shards.
         Raises :class:`~repro.exceptions.UnknownStudy` once the study has
         been handed back (or was never registered)."""
+        if not worker_id:
+            raise ValidationError("worker_id must be non-empty")
         study = self._study(study_id)
         run = study.run
         with self._lock:
@@ -406,10 +410,9 @@ class ShardCoordinator:
         and raises its :class:`~repro.exceptions.ShardError`.
         """
         run = self._study(study_id).run
-        plan = FaultPlan.from_env() if faults is None else faults
         with self._lock:
             self._expire()
-        run.drain(plan.to_dict() if plan is not None else None)
+        run.drain(FaultPlan.from_env() if faults is None else faults)
 
     def close(self) -> None:
         """Stop dispatching, for good: grant no more leases, expire every
@@ -457,18 +460,15 @@ class ShardCoordinator:
         worker_id: str | None,
     ) -> None:
         """Every landing's telemetry, then the study's progress feed (the
-        one place per-worker attribution is kept).
-
-        ``worker_id`` is None for an inline-drained shard and ``""`` for
-        a push that named no worker (reported as None).
-        """
+        one place per-worker attribution is kept).  ``worker_id`` is None
+        for a cache-served or inline-drained shard."""
         with self._lock:
             if from_cache:
                 self.stats.cache_served_shards += 1
             elif worker_id is None:
                 self.stats.inline_shards += 1
         if study.progress is not None:
-            study.progress(k, from_cache, done, total, worker_id or None)
+            study.progress(k, from_cache, done, total, worker_id)
 
     def _accepted(self, run: ShardRun, duplicate: bool) -> dict:
         return {

@@ -13,8 +13,8 @@ The simulation — not wall-clock measurement — is what keeps the
 topology-independence invariant intact: the columns are a pure function
 of (spec, shard_size, strategy), simulated once per study into its
 :class:`~repro.studies.executor.StudyPlan`, so artifacts stay
-byte-identical whether the study ran inline, on a ProcessPool, or
-across N remote workers.  It is classic list scheduling over a nominal
+byte-identical whether the study ran inline or across N remote
+workers.  It is classic list scheduling over a nominal
 :data:`SIM_WORKERS`-slot fleet with per-shard costs from
 :func:`shard_costs` (point counts weighted by fixed per-backend cost
 constants), in the spirit of the splitting-strategy comparisons for

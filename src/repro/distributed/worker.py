@@ -1,8 +1,9 @@
 """The shard worker: pull a lease, evaluate, push verified bytes.
 
-A :class:`ShardWorker` is the distributed counterpart of one ProcessPool
-worker: it runs the *same* top-level ``_run_shard`` the pool path runs,
-so the bytes it pushes are the bytes a local run would have written.
+A multi-process study run is a coordinator (``cli coordinate``) plus
+``cli worker`` processes, each one :class:`ShardWorker` loop.  A worker
+runs the *same* ``_run_shard`` the inline loop runs, so the bytes it
+pushes are the bytes a local ``run_study`` would have written.
 Everything study-specific arrives in the lease descriptor (spec payload,
 shard_size, shard index, coordinator-owned attempt number).  Between
 pulls the worker keeps only its identity and the
@@ -19,7 +20,9 @@ run through one retry helper that retries transport faults with
 seeded-jitter exponential backoff, evaluation errors are reported via
 ``fail`` (immediate requeue), and an injected ``worker-death`` abandons
 the loop outright — silently, so the coordinator's lease deadline (not
-worker goodwill) is what recovers the shard.
+worker goodwill) is what recovers the shard.  Which of those two shard
+sites fires is :meth:`FaultPlan.shard_fault`'s answer, the check the
+inline loop makes too.
 
 A push the coordinator answers with
 :class:`~repro.exceptions.UnknownStudy` names a study it no longer holds:
@@ -59,7 +62,7 @@ from ..service.protocol import (
     ServiceError,
     exchange,
 )
-from ..studies.executor import _WORKER_DEATH_EXIT, RetryPolicy, StudyPlan, _run_shard
+from ..studies.executor import RetryPolicy, StudyPlan, _run_shard
 
 __all__ = ["ShardWorker", "WorkerStats", "HttpCoordinatorTransport"]
 
@@ -67,6 +70,9 @@ __all__ = ["ShardWorker", "WorkerStats", "HttpCoordinatorTransport"]
 #: the executor's MC (one component) and backoff (``_BACKOFF_DOMAIN``)
 #: stream families, so worker retries can never perturb either.
 _TRANSPORT_DOMAIN = 0x90BB
+
+#: Exit status of a ``cli worker`` process killed by an injected worker death.
+_WORKER_DEATH_EXIT = 117
 
 
 @dataclass
@@ -115,7 +121,7 @@ class HttpCoordinatorTransport:
         shard_index: int,
         data: bytes,
         digest: str,
-        worker_id: str = "",
+        worker_id: str,
         lease_id: str | None = None,
     ) -> dict:
         headers = {
@@ -267,16 +273,16 @@ class ShardWorker:
         """Evaluate one lease and push it; False = die (abandon lease)."""
         k = int(lease["shard_index"])
         attempt = int(lease.get("attempt", 0))
-        if self.faults is not None:
-            if self.faults.fires(SITE_WORKER_DEATH, key=k, attempt=attempt) is not None:
-                self.stats.died = True
-                if self.exit_on_death:
-                    os._exit(_WORKER_DEATH_EXIT)
-                return False
-            if self.faults.fires(SITE_SHARD_EVAL, key=k, attempt=attempt) is not None:
-                self.stats.eval_failures += 1
-                self._fail(lease, f"injected shard-eval failure (attempt {attempt})")
-                return True
+        site = None if self.faults is None else self.faults.shard_fault(k, attempt)
+        if site == SITE_WORKER_DEATH:
+            self.stats.died = True
+            if self.exit_on_death:
+                os._exit(_WORKER_DEATH_EXIT)
+            return False
+        if site == SITE_SHARD_EVAL:
+            self.stats.eval_failures += 1
+            self._fail(lease, f"injected shard-eval failure (attempt {attempt})")
+            return True
         try:
             shard = _run_shard(self._plan_for(lease), k, True)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the loop

@@ -14,8 +14,8 @@ rather than trusted on faith.
 The load-bearing invariant, asserted wherever faults are injected: a
 study run under injected *transient* faults produces an artifact
 **byte-identical** to the fault-free run.  Faults may cost retries,
-recomputation, and degraded execution paths — all reported through
-:class:`FaultStats` — but never different bytes.
+recomputation, and requeues — all reported through :class:`FaultStats`
+or the coordinator's stats — but never different bytes.
 
 Activation:
 

@@ -6,13 +6,19 @@ A *site* is a named point in the execution stack where a fault can be
 injected.  Sites are string constants so plans serialize naturally:
 
 ``shard-eval``
-    ``_run_shard`` raises :class:`FaultInjected` before evaluating the
-    shard.  Keyed by shard index, gated by the caller-supplied attempt
-    number, so "fail the first ``times`` attempts, then succeed" is exact.
+    The shard fails before it is evaluated: the inline loop
+    (``ShardRun.drain``) raises :class:`FaultInjected`, and a distributed
+    worker reports the lease back through ``fail``.  Keyed by shard
+    index, gated by the run-owned attempt number, so "fail the first
+    ``times`` attempts, then succeed" is exact.
 ``worker-death``
-    ``_run_shard`` kills its process with ``os._exit`` when running in a
-    pool worker (inline execution raises instead — killing the caller's
-    process would be sabotage, not chaos).  Keyed like ``shard-eval``.
+    A ``cli worker`` process exits with ``os._exit`` before evaluating
+    the shard, so the coordinator's lease expiry is what recovers it (an
+    in-process :class:`~repro.distributed.worker.ShardWorker` just ends
+    its loop).  The inline loop raises :class:`FaultInjected` instead —
+    killing the caller's process would be sabotage, not chaos.  Keyed
+    like ``shard-eval``.  Both drivers ask :meth:`FaultPlan.shard_fault`
+    which of the two sites fires.
 ``cache-read`` / ``cache-write``
     The executor's cache pre-pass/store sees an unreadable entry
     (``effect="raise"``) or a torn file (``effect="corrupt"``).  Counted
@@ -37,8 +43,9 @@ Two gating mechanisms, both deterministic:
 
 * **attempt-gated** sites (``shard-eval``, ``worker-death``) fire for
   attempts ``0..times-1`` at a matching key.  The attempt number is owned
-  by the *parent* process and shipped to workers with the shard, so a
-  respawned worker does not reset the count — the fault converges.
+  by the study's shard run (the coordinator ships it to workers in each
+  lease), so a respawned worker does not reset the count — the fault
+  converges.
 * **counted** sites (cache/http) keep a per-(site, key) invocation
   counter inside the plan object and treat it as the attempt number.
 
@@ -169,10 +176,10 @@ class FaultPlan:
     """A deterministic, seedable schedule of injected faults.
 
     The plan itself is cheap and thread-safe; the only mutable state is
-    the per-(site, key) counters behind :meth:`fires_counted`.  Plans
-    cross process boundaries as their :meth:`to_dict` payload (counters
-    intentionally do not travel — workers are attempt-gated by the
-    parent instead).
+    the per-(site, key) counters behind :meth:`fires_counted`.  A
+    ``cli worker`` process builds its own plan from ``REPRO_FAULTS``;
+    counters never travel, and the shard sites are gated by the attempt
+    number each lease carries instead.
     """
 
     def __init__(self, rules: Sequence[FaultRule | Mapping], seed: int = 0) -> None:
@@ -203,6 +210,15 @@ class FaultPlan:
                 if u >= rule.probability:
                     continue
             return rule
+        return None
+
+    def shard_fault(self, shard_index: int, attempt: int) -> str | None:
+        """The attempt-gated shard site that fires on this attempt of
+        shard ``shard_index`` — ``worker-death`` ahead of ``shard-eval`` —
+        or None."""
+        for site in (SITE_WORKER_DEATH, SITE_SHARD_EVAL):
+            if self.fires(site, key=shard_index, attempt=attempt) is not None:
+                return site
         return None
 
     def fires_counted(self, site: str, key: int = 0) -> FaultRule | None:
@@ -258,12 +274,9 @@ class FaultStats:
     produce byte-identical artifacts but different stats.
     """
 
-    shard_failures: int = 0        # shard attempts that raised (incl. worker deaths)
+    shard_failures: int = 0        # shard attempts that raised
     shard_retries: int = 0         # re-executions scheduled after a failure
     recovered_shards: int = 0      # shards that succeeded after >= 1 failure
-    worker_deaths: int = 0         # process-pool breakages observed
-    pool_restarts: int = 0         # pools rebuilt after a breakage
-    degraded_inline_shards: int = 0  # shards run in-process after pool gave up
     cache_read_faults: int = 0     # cache loads that failed (treated as misses)
     cache_write_faults: int = 0    # cache stores that failed (results kept anyway)
 
@@ -272,5 +285,5 @@ class FaultStats:
 
     @property
     def clean(self) -> bool:
-        """True when the run saw no failures or degraded paths at all."""
+        """True when the run saw no failures at all."""
         return not any(self.as_dict().values())

@@ -465,7 +465,7 @@ class StudyServer:
     distributed:
         Enable the shard coordinator: jobs execute by leasing shards to
         pulled workers (the ``/distributed/*`` routes) instead of the
-        in-process executor pool, with an inline drain guaranteeing
+        in-process executor, with an inline drain guaranteeing
         liveness when no fleet is attached.  The artifact bytes are
         identical either way — that is the point.
     scheduler, lease_ttl_s:

@@ -1,9 +1,13 @@
-"""Sharded study execution: deterministic parallel grid evaluation.
+"""Sharded study execution: deterministic grid evaluation.
 
 The executor partitions a spec's point space into fixed-size shards and
-evaluates them — inline for ``workers=1``, across processes via
-``concurrent.futures`` otherwise.  Evaluation is dispatched through the
-performance-backend registry (:mod:`repro.backends`): each config block
+evaluates them in-process.  A multi-process run is the distributed
+fleet: ``cli coordinate`` (a
+:class:`~repro.distributed.coordinator.ShardCoordinator`) plus any number
+of ``cli worker`` processes (:class:`~repro.distributed.worker.ShardWorker`),
+which evaluate the same shards through the same :func:`_run_shard`.
+Evaluation is dispatched through the performance-backend registry
+(:mod:`repro.backends`): each config block
 names its backend (the spec's outermost axis) and the executor routes the
 block through that backend's batched ``sweep`` entry point, so one study
 can hold closed-form, ASPEN, and DES rows side by side.
@@ -13,13 +17,13 @@ bytes:
 
 * **Shard grid before scheduling.**  Shards are contiguous index ranges
   ``[k*shard_size, (k+1)*shard_size)`` derived from ``shard_size`` alone;
-  worker count only decides *who* runs a shard, never *what* a shard is.
+  the topology only decides *who* runs a shard, never *what* a shard is.
   A shard is ``(plan, index)``: the :class:`StudyPlan` holds everything
   study-level (decoded spec, shard grid, simulated schedule traces) and
   is built once per study in each process that runs its shards.
 * **Spawn-derived RNG streams.**  The Monte-Carlo column draws from
   ``spawn_stream(spec.seed, shard_index)`` (see ``repro._rng``), keyed on
-  the shard's logical index, so any worker count and any shard execution
+  the shard's logical index, so any topology and any shard execution
   order consume identical streams.  The contended-workload columns use
   their own namespace — ``spawn_stream(seed, CONTENTION_DOMAIN, row)``,
   keyed per *row* — so contention simulations are identical across any
@@ -31,11 +35,11 @@ bytes:
   for cross-checking.
 
 Together: the results table (and hence the saved artifact) is
-byte-identical for 1, 2, or N workers, in-order or re-ordered shards, and
-vectorized or scalar evaluation.  Changing ``shard_size`` re-partitions
-the Monte-Carlo stream grid and may legitimately change ``mc_accuracy``
-draws (never the model columns); it is part of the study's identity, not a
-tuning knob to vary mid-study.
+byte-identical inline or on 1, 2 or N fleet workers, for in-order or
+re-ordered shards, and for vectorized or scalar evaluation.  Changing
+``shard_size`` re-partitions the Monte-Carlo stream grid and may
+legitimately change ``mc_accuracy`` draws (never the model columns); it
+is part of the study's identity, not a tuning knob to vary mid-study.
 
 Because shard bytes are this reproducible, they are also *cacheable*:
 pass a :class:`~repro.studies.cache.StudyCache` and every shard is served
@@ -47,9 +51,9 @@ Fault tolerance
 ---------------
 Every shard runs on one engine, :class:`ShardRun`, which keeps the
 study's whole shard state — table, pending queue, done set, and one
-attempt ledger.  Its three execution paths (the inline loop, the process
-pool, and the distributed coordinator's lease verbs) all charge a failed
-attempt through the same :meth:`ShardRun.charge`, so a shard's budget is
+attempt ledger.  Its two execution paths (the inline loop and the
+distributed coordinator's lease verbs) both charge a failed attempt
+through the same :meth:`ShardRun.charge`, so a shard's budget is
 spent the same way whoever ran it: ``run_study`` fails a shard at
 :attr:`RetryPolicy.max_attempts`, a coordinated study past its
 ``max_requeues``.  A charged shard goes back in the queue; ``run_study``
@@ -59,12 +63,10 @@ shard_index)`` — so retries never advance the MC streams.  A shard that
 exhausts its budget raises :class:`~repro.exceptions.ShardError`
 carrying the attempt history.  Cache faults degrade gracefully: a failed
 load is a miss (the shard is recomputed), a failed store is ignored (the
-shard still lands in the table).  When the process pool keeps dying, the
-executor rebuilds it up to ``RetryPolicy.max_pool_restarts`` times, then
-falls back to the inline loop for the remaining shards.  Everything the
-resilience layer did is reported in :class:`~repro.faults.FaultStats` on
-the returned results — *outside* the canonical artifact, which stays
-byte-identical with and without faults.  Deterministic fault injection
+shard still lands in the table).  Everything the resilience layer did
+is reported in :class:`~repro.faults.FaultStats` on the returned
+results — *outside* the canonical artifact, which stays byte-identical
+with and without faults.  Deterministic fault injection
 for tests and the CI chaos smoke comes from :mod:`repro.faults` via
 ``run_study(faults=)`` or the ``REPRO_FAULTS`` environment hook.
 """
@@ -72,12 +74,9 @@ for tests and the CI chaos smoke comes from :mod:`repro.faults` via
 from __future__ import annotations
 
 import bisect
-import os
 import threading
 import time
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -91,8 +90,6 @@ from ..exceptions import ShardError, ValidationError
 from ..faults import (
     SITE_CACHE_READ,
     SITE_CACHE_WRITE,
-    SITE_SHARD_EVAL,
-    SITE_WORKER_DEATH,
     FaultInjected,
     FaultPlan,
     FaultStats,
@@ -122,9 +119,6 @@ DEFAULT_SHARD_SIZE = 4096
 #: never collide and retries leave the MC draws untouched.
 _BACKOFF_DOMAIN = 0xB0FF
 
-#: Exit code an injected worker death uses; only ever seen by the pool.
-_WORKER_DEATH_EXIT = 117
-
 #: Signature of the optional ``run_study`` progress hook:
 #: ``progress(shard_index, from_cache, shards_done, shards_total)``, called
 #: once per shard as it lands in the results table (cache-served shards
@@ -147,7 +141,6 @@ class RetryPolicy:
     base_delay_s: float = 0.05
     max_delay_s: float = 2.0
     jitter: float = 0.5
-    max_pool_restarts: int = 2
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -156,10 +149,6 @@ class RetryPolicy:
             raise ValidationError("backoff delays must be >= 0")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValidationError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.max_pool_restarts < 0:
-            raise ValidationError(
-                f"max_pool_restarts must be >= 0, got {self.max_pool_restarts}"
-            )
 
     def delay(self, rng: np.random.Generator, attempt: int) -> float:
         base = min(self.base_delay_s * (2.0 ** attempt), self.max_delay_s)
@@ -219,38 +208,14 @@ class StudyPlan:
         )
 
 
-def _run_shard(
-    plan: StudyPlan,
-    shard_index: int,
-    vectorize: bool,
-    faults: Mapping | None = None,
-    attempt: int = 0,
-    in_worker: bool = False,
-) -> np.ndarray:
+def _run_shard(plan: StudyPlan, shard_index: int, vectorize: bool) -> np.ndarray:
     """Evaluate shard ``shard_index`` of ``plan`` into a results table slice.
 
-    Top-level (picklable) so process pools — and distributed
-    :class:`~repro.distributed.worker.ShardWorker` loops — can run it;
-    backends resolve from the running process's own registry.
-    ``faults``/``attempt`` carry the fault plan payload and the
-    parent-owned attempt number across the process boundary (a respawned
-    worker must not reset the fault schedule); ``in_worker`` gates the
-    worker-death site — inline execution raises instead of killing the
-    caller's process.
+    The one shard evaluation: the inline loop and every
+    :class:`~repro.distributed.worker.ShardWorker` run it; backends
+    resolve from the running process's own registry.  Injected shard
+    faults are the caller's to apply (:meth:`FaultPlan.shard_fault`).
     """
-    if faults is not None:
-        injected = FaultPlan.from_dict(faults)
-        if injected.fires(SITE_WORKER_DEATH, key=shard_index, attempt=attempt) is not None:
-            if in_worker:
-                os._exit(_WORKER_DEATH_EXIT)
-            raise FaultInjected(
-                f"injected worker death at shard {shard_index}, attempt {attempt} "
-                "(inline execution: raised instead of exiting)"
-            )
-        if injected.fires(SITE_SHARD_EVAL, key=shard_index, attempt=attempt) is not None:
-            raise FaultInjected(
-                f"injected shard-eval failure at shard {shard_index}, attempt {attempt}"
-            )
     spec = plan.spec
     start, stop = plan.ranges[shard_index]
     out = empty_table(stop - start)
@@ -321,14 +286,14 @@ class ShardRun:
     """One study's shard state, and the engine every execution path runs on.
 
     Its :attr:`plan` is decoded from ``spec.to_dict()`` once, here — the
-    one construction path the inline loop, the pool and the coordinator
-    share.  It owns the results table, the pending queue (in ``order``,
+    one construction path the inline loop and the coordinator share.  It
+    owns the results table, the pending queue (in ``order``,
     default ascending), the done set, each shard's attempt count and error
     history, the seeded backoff streams, :class:`FaultStats`, the cache
     pre-pass (:meth:`serve_cached`) and the landing path (:meth:`land`:
-    table write, then the tolerant cache store, then progress).  Three
-    execution paths use it and nothing else: the inline loop (:meth:`drain`), the
-    process pool (:func:`_run_pool`) and the coordinator's lease verbs.
+    table write, then the tolerant cache store, then progress).  Two
+    execution paths use it and nothing else: the inline loop
+    (:meth:`drain`) and the coordinator's lease verbs.
 
     ``budget`` is the number of failed attempts a shard may absorb; the
     failure that takes its attempts past it fails the run (see
@@ -380,10 +345,6 @@ class ShardRun:
     @property
     def total(self) -> int:
         return len(self.plan.ranges)
-
-    def shard_args(self, k: int, faults: dict | None, in_worker: bool) -> tuple:
-        """``_run_shard`` arguments for shard ``k`` at its current attempt."""
-        return (self.plan, k, self.vectorize, faults, self.attempts.get(k, 0), in_worker)
 
     def take(self) -> int | None:
         """Pop the head of the pending queue (None when empty or failed)."""
@@ -467,16 +428,24 @@ class ShardRun:
             self._count_published()
         self.pending = missing
 
-    def drain(self, faults: dict | None) -> None:
+    def drain(self, faults: FaultPlan | None) -> None:
         """The inline loop: run pending shards in-process until none is left.
 
-        A failure is charged and backed off; the shard retries when the
-        queue brings it round again.  Raises the run's :class:`ShardError`
-        once it has failed.
+        An injected shard fault at a shard's current attempt raises
+        :class:`FaultInjected` here — a ``worker-death`` too, since
+        exiting would kill the caller's process.  A failure is charged and
+        backed off; the shard retries when the queue brings it round
+        again.  Raises the run's :class:`ShardError` once it has failed.
         """
         while (k := self.take()) is not None:
             try:
-                shard = _run_shard(*self.shard_args(k, faults, False))
+                attempt = self.attempts.get(k, 0)
+                site = None if faults is None else faults.shard_fault(k, attempt)
+                if site is not None:
+                    raise FaultInjected(
+                        f"injected {site} fault at shard {k}, attempt {attempt}"
+                    )
+                shard = _run_shard(self.plan, k, self.vectorize)
             except Exception as exc:
                 if not self.charge(k, repr(exc)):
                     raise self.error from exc
@@ -538,7 +507,6 @@ class ShardRun:
 
 def run_study(
     spec: ScenarioSpec,
-    workers: int = 1,
     shard_size: int = DEFAULT_SHARD_SIZE,
     vectorize: bool = True,
     shard_order: Sequence[int] | None = None,
@@ -547,13 +515,14 @@ def run_study(
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
 ) -> StudyResults:
-    """Evaluate every grid point of ``spec`` into a :class:`StudyResults`.
+    """Evaluate every grid point of ``spec`` in-process into a :class:`StudyResults`.
+
+    A multi-process run of the same study is ``cli coordinate`` plus
+    ``cli worker`` processes (:mod:`repro.distributed`); its artifact is
+    byte-identical to this one at the same ``shard_size``.
 
     Parameters
     ----------
-    workers:
-        Process count.  1 runs inline (no pool); results are byte-identical
-        for every value.
     shard_size:
         Points per shard.  Fixes the shard grid and the Monte-Carlo stream
         partitioning (see the module docstring's determinism contract).
@@ -563,7 +532,7 @@ def run_study(
         Both produce identical tables; the scalar loop exists for
         cross-checks and as the perf-harness baseline.
     shard_order:
-        Optional permutation of shard indices controlling *submission*
+        Optional permutation of shard indices controlling evaluation
         order — a determinism-audit hook, not a tuning knob.
     cache:
         Optional :class:`~repro.studies.cache.StudyCache`.  Shards whose
@@ -583,8 +552,6 @@ def run_study(
         Shard retry/backoff budget; defaults to :class:`RetryPolicy`'s
         defaults.  Retries apply to *any* shard failure, injected or real.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     plan = FaultPlan.from_env() if faults is None else faults
     policy = RetryPolicy() if retry is None else retry
     run = ShardRun(
@@ -601,68 +568,5 @@ def run_study(
         ),
     )
     run.serve_cached()
-    plan_payload = plan.to_dict() if plan is not None else None
-    if workers == 1 or len(run.pending) <= 1:
-        run.drain(plan_payload)
-    else:
-        _run_pool(run, workers, plan_payload)
+    run.drain(plan)
     return StudyResults(spec=spec, table=run.table, fault_stats=run.stats)
-
-
-def _run_pool(run: ShardRun, workers: int, faults: dict | None) -> None:
-    """The process-pool execution path, with worker-death recovery.
-
-    Each round submits the pending shards (with their run-owned attempt
-    numbers) to a fresh pool.  A dying worker breaks the pool, in which
-    case every shard that was in flight is charged one attempt (the
-    culprit cannot be told apart from its victims) and the pool is
-    rebuilt — up to ``max_pool_restarts`` times, after which the
-    remaining shards run inline (the degraded path).
-    """
-    pool_restarts = 0
-    while run.pending:
-        if pool_restarts > run.policy.max_pool_restarts:
-            run.stats.degraded_inline_shards += len(run.pending)
-            run.drain(faults)
-            return
-
-        broken = False
-        died: list[int] = []
-        retried: list[int] = []
-        with ProcessPoolExecutor(max_workers=min(workers, len(run.pending))) as pool:
-            futures: dict[int, object] = {}
-            try:
-                for k in list(run.pending):
-                    args = run.shard_args(k, faults, True)
-                    futures[k] = pool.submit(_run_shard, *args)
-                    run.pending.remove(k)
-            except BrokenProcessPool:
-                broken = True  # the unsubmitted shards stay pending
-            for k, future in futures.items():
-                try:
-                    shard = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    died.append(k)
-                except Exception as exc:
-                    if not run.charge(k, repr(exc)):
-                        raise run.error from exc
-                    retried.append(k)
-                else:
-                    run.land(k, shard)
-
-        if broken:
-            run.stats.worker_deaths += 1
-            run.stats.pool_restarts += 1
-            pool_restarts += 1
-            for k in died:
-                if not run.charge(k, "worker process died (broken pool)"):
-                    raise run.error
-                retried.append(k)
-
-        # One backoff sleep per round covering every retried shard; draws
-        # advance each shard's dedicated stream deterministically.
-        if retried:
-            delay = max(run.backoff(k) for k in retried)
-            if delay > 0.0:
-                time.sleep(delay)

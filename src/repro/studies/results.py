@@ -123,7 +123,7 @@ class StudyResults:
     """One evaluated study: the spec plus its per-point results table.
 
     ``fault_stats`` reports what the executor's resilience layer did
-    (retries, worker-death recoveries, degraded paths — see
+    (failures, retries, recoveries, cache faults — see
     :class:`repro.faults.FaultStats`).  It is execution telemetry, not a
     result: excluded from :meth:`to_dict`, the artifact bytes, and
     equality, so a run that survived transient faults serializes

@@ -280,7 +280,7 @@ class TestMultiBackendAcceptance:
 
     @pytest.fixture(scope="class")
     def reference_json(self, spec) -> str:
-        return run_study(spec, workers=1, shard_size=4).to_json()
+        return run_study(spec, shard_size=4).to_json()
 
     def test_per_backend_columns_in_artifact(self, spec, reference_json):
         payload = json.loads(reference_json)
@@ -290,12 +290,12 @@ class TestMultiBackendAcceptance:
             ["closed_form"] * 6 + ["aspen"] * 6 + ["des"] * 6
         )
 
-    def test_byte_identical_across_worker_counts(self, spec, reference_json):
-        assert run_study(spec, workers=2, shard_size=4).to_json() == reference_json
+    def test_byte_identical_on_rerun(self, spec, reference_json):
+        assert run_study(spec, shard_size=4).to_json() == reference_json
 
     def test_byte_identical_scalar_loop(self, spec, reference_json):
         assert (
-            run_study(spec, workers=1, shard_size=4, vectorize=False).to_json()
+            run_study(spec, shard_size=4, vectorize=False).to_json()
             == reference_json
         )
 

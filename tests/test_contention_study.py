@@ -54,7 +54,7 @@ SHARD_SIZE = 3  # 6 points -> 2 shards, splitting the queue_policy blocks
 
 @pytest.fixture(scope="module")
 def reference(request) -> StudyResults:
-    return run_study(SPEC, workers=1, shard_size=SHARD_SIZE)
+    return run_study(SPEC, shard_size=SHARD_SIZE)
 
 
 @pytest.fixture(scope="module")
@@ -158,25 +158,24 @@ class TestArtifactSchema:
 class TestByteIdentity:
     """The determinism audit, extended to contended studies."""
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_counts(self, reference_bytes, workers):
-        run = run_study(SPEC, workers=workers, shard_size=SHARD_SIZE)
+    def test_rerun(self, reference_bytes):
+        run = run_study(SPEC, shard_size=SHARD_SIZE)
         assert run.artifact_bytes() == reference_bytes
 
     def test_scalar_vs_vectorized(self, reference_bytes):
-        run = run_study(SPEC, workers=1, shard_size=SHARD_SIZE, vectorize=False)
+        run = run_study(SPEC, shard_size=SHARD_SIZE, vectorize=False)
         assert run.artifact_bytes() == reference_bytes
 
     def test_shard_order_permutation(self, reference_bytes):
         num_shards = len(shard_ranges(SPEC.num_points, SHARD_SIZE))
         order = list(reversed(range(num_shards)))
-        run = run_study(SPEC, workers=1, shard_size=SHARD_SIZE, shard_order=order)
+        run = run_study(SPEC, shard_size=SHARD_SIZE, shard_order=order)
         assert run.artifact_bytes() == reference_bytes
 
     def test_shard_size_leaves_contention_columns_alone(self, reference):
         """Contention streams key on the *global* row index, not the shard
         grid, so any slice matches the full run."""
-        resharded = run_study(SPEC, workers=1, shard_size=2)
+        resharded = run_study(SPEC, shard_size=2)
         for column in CONTENTION_COLUMNS:
             assert np.array_equal(
                 reference.column(column), resharded.column(column)
@@ -246,9 +245,9 @@ class TestShardOrderProperty:
         shard_size = data.draw(st.sampled_from([1, 2, 3, 5]), label="shard_size")
         num_shards = len(shard_ranges(spec.num_points, shard_size))
         order = data.draw(st.permutations(range(num_shards)), label="order")
-        reference = run_study(spec, workers=1, shard_size=shard_size)
+        reference = run_study(spec, shard_size=shard_size)
         shuffled = run_study(
-            spec, workers=1, shard_size=shard_size, shard_order=list(order)
+            spec, shard_size=shard_size, shard_order=list(order)
         )
         assert shuffled.artifact_bytes() == reference.artifact_bytes()
 

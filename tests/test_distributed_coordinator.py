@@ -312,7 +312,7 @@ class TestPushVerification:
         data, digest = shard_bytes(SPEC, k)
         corrupted = bytes([data[0] ^ 0xFF]) + data[1:]
         with pytest.raises(PushRejected, match="hash"):
-            self.coord.push(self.sid, k, corrupted, digest)
+            self.coord.push(self.sid, k, corrupted, digest, worker_id="w0")
 
     def test_wrong_size_rejected(self):
         lease = self.coord.lease("w0")
@@ -321,16 +321,32 @@ class TestPushVerification:
         short = data[:-8]
         digest = hashlib.sha256(short).hexdigest()
         with pytest.raises(PushRejected, match="bytes") as excinfo:
-            self.coord.push(self.sid, k, short, digest)
+            self.coord.push(self.sid, k, short, digest, worker_id="w0")
         assert excinfo.value.reason == "wrong-size"
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValidationError, match="out of range"):
-            self.coord.push(self.sid, 99, b"", hashlib.sha256(b"").hexdigest())
+            self.coord.push(
+                self.sid, 99, b"", hashlib.sha256(b"").hexdigest(), worker_id="w0"
+            )
+
+    def test_anonymous_push_is_refused(self):
+        # None in the progress feed means an inline drain; a push that
+        # names no worker must not land under that attribution.
+        lease = self.coord.lease("w0")
+        k = lease["shard_index"]
+        data, digest = shard_bytes(SPEC, k)
+        with pytest.raises(ValidationError, match="worker_id"):
+            self.coord.push(self.sid, k, data, digest, worker_id="", lease_id=lease["lease_id"])
+        assert self.attribution == {}
+        assert self.study.run.done == set()
+        assert self.coord.stats.inline_shards == 0
+        self.coord.push(self.sid, k, data, digest, worker_id="w0", lease_id=lease["lease_id"])
+        assert self.attribution == {"w0": 1}
 
     def test_unknown_study_rejected(self):
         with pytest.raises(UnknownStudy, match="unknown study"):
-            self.coord.push("nope", 0, b"", "")
+            self.coord.push("nope", 0, b"", "", worker_id="w0")
         assert "nope" not in self.coord._studies
         assert self.sid in self.coord._studies
 

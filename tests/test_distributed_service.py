@@ -13,13 +13,18 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 pytestmark = pytest.mark.distributed
 
+import repro
 from repro.distributed.worker import HttpCoordinatorTransport, ShardWorker
 from repro.exceptions import PushRejected, ValidationError
 from repro.faults import FaultPlan
@@ -233,6 +238,24 @@ def test_lease_push_round_trip_over_http(server):
     assert accepted["total"] == 3
 
 
+def test_push_without_worker_id_is_a_400(server):
+    lease = submit_and_lease(server)
+    data = evaluate_lease(lease)
+    headers = push_headers(lease, data)
+    del headers[HEADER_WORKER_ID]
+    status, _, body = request(
+        server, "POST", "/distributed/push", raw_body=data, headers=headers
+    )
+    assert status == 400
+    assert "worker_id" in json.loads(body)["error"]["message"]
+    assert server.coordinator.stats.inline_shards == 0
+    status, _, _ = request(
+        server, "POST", "/distributed/push",
+        raw_body=data, headers=push_headers(lease, data),
+    )
+    assert status == 200
+
+
 def test_duplicate_push_accepted_idempotently(server):
     lease = submit_and_lease(server)
     data = evaluate_lease(lease)
@@ -269,6 +292,7 @@ def test_push_to_unknown_study_is_404(server):
             HEADER_SHARD_STUDY: "f" * 64,
             HEADER_SHARD_INDEX: "0",
             HEADER_SHARD_DIGEST: hashlib.sha256(b"x").hexdigest(),
+            HEADER_WORKER_ID: "probe",
         },
     )
     assert status == 404
@@ -319,7 +343,9 @@ def test_transport_maps_rejection_and_unknown_study(server):
         )
     assert excinfo.value.reason == "hash-mismatch"
     with pytest.raises(ValidationError, match="unknown-study"):
-        transport.push("e" * 64, 0, data, hashlib.sha256(data).hexdigest())
+        transport.push(
+            "e" * 64, 0, data, hashlib.sha256(data).hexdigest(), worker_id="probe"
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -432,3 +458,62 @@ def test_worker_drops_a_push_for_a_handed_back_study(server):
     assert artifact == run_study(
         ScenarioSpec.from_dict(after), shard_size=SHARD_SIZE
     ).artifact_bytes()
+
+
+# --------------------------------------------------------------------- #
+# Worker processes
+# --------------------------------------------------------------------- #
+def test_worker_process_death_is_recovered_by_a_second_process(tmp_path):
+    # The one tier-1 test that evaluates shards in other processes: a
+    # `cli worker` whose REPRO_FAULTS kills it at shard 0 exits with status
+    # 117 holding that lease; the lease expires and requeues, and a second
+    # worker process (or the coordinator's stall drain) finishes the study.
+    reference = run_study(
+        ScenarioSpec.from_dict(SPEC_PAYLOAD), shard_size=SHARD_SIZE
+    ).artifact_bytes()
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_FAULTS"}
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    dying_env = {
+        **env,
+        "REPRO_FAULTS": json.dumps(
+            {"rules": [{"site": "worker-death", "keys": [0], "times": 1}]}
+        ),
+    }
+    with StudyServer(
+        cache=tmp_path / "cache",
+        shard_size=SHARD_SIZE,
+        distributed=True,
+        lease_ttl_s=0.5,
+    ) as srv:
+        command = [
+            sys.executable, "-m", "repro.cli", "worker",
+            "--coordinator", srv.url, "--poll", "0.02", "--max-idle", "30",
+        ]
+        logs = [(tmp_path / f"worker{i}.log").open("w") for i in range(2)]
+        first = subprocess.Popen(
+            [*command, "--id", "dying"], env=dying_env,
+            stdout=logs[0], stderr=subprocess.STDOUT,
+        )
+        second = None
+        try:
+            wait_for_workers(srv, 1)
+            _, _, body = request(srv, "POST", "/studies", SPEC_PAYLOAD)
+            job_id = json.loads(body)["job_id"]
+            first_status = first.wait(timeout=60)
+            second = subprocess.Popen(
+                [*command, "--id", "healthy"], env=env,
+                stdout=logs[1], stderr=subprocess.STDOUT,
+            )
+            assert wait_done(srv, job_id)["state"] == "done"
+            _, _, artifact = request(srv, "GET", f"/studies/{job_id}/artifact")
+            _, _, health = request(srv, "GET", "/healthz")
+        finally:
+            for proc in (first, second):
+                if proc is not None and proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=30)
+            for log in logs:
+                log.close()
+    assert artifact == reference
+    assert first_status == 117, (tmp_path / "worker0.log").read_text()
+    assert json.loads(health)["distributed"]["requeues"] >= 1

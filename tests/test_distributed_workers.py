@@ -4,7 +4,7 @@ The acceptance contract of the distributed subsystem — a study artifact
 is a pure function of (spec, shard grid), so coordinator/worker runs of
 any fleet size, with any scheduling strategy, through any injected fault
 (worker death, transport failures, evaluation errors) must reproduce the
-local ProcessPool run byte for byte.
+local inline ``run_study`` byte for byte.
 """
 
 import sys
@@ -52,7 +52,7 @@ NO_FAULTS = FaultPlan([])
 
 @pytest.fixture(scope="module")
 def reference_bytes():
-    return run_study(SPEC, workers=2, shard_size=SHARD_SIZE).artifact_bytes()
+    return run_study(SPEC, shard_size=SHARD_SIZE).artifact_bytes()
 
 
 class PauseCappedClock:

@@ -2,7 +2,7 @@
 
 The acceptance criterion this suite pins: **injected transient faults
 never change the artifact**.  A study run that suffered shard failures,
-worker deaths, or cache corruption produces byte-for-byte the artifact a
+injected worker deaths, or cache corruption produces byte-for-byte the artifact a
 fault-free run produces — the damage is visible only in the
 :class:`~repro.faults.FaultStats` attached *outside* the canonical
 payload.  Permanent faults (more failures than the retry budget) surface
@@ -25,7 +25,7 @@ from repro.faults import (
     SITE_WORKER_DEATH,
 )
 from repro.studies import RetryPolicy, ScenarioSpec, StudyCache, run_study
-from repro.studies.executor import _BACKOFF_DOMAIN, StudyPlan, _run_shard
+from repro.studies.executor import _BACKOFF_DOMAIN
 
 pytestmark = pytest.mark.faults
 
@@ -97,13 +97,6 @@ def test_exhausted_retry_budget_raises_shard_error_with_history():
     assert "after 3 attempt(s)" in str(err)
 
 
-def test_pool_run_also_raises_shard_error_on_permanent_failure():
-    plan = FaultPlan([FaultRule(site=SITE_SHARD_EVAL, keys=(0,), times=5)])
-    with pytest.raises(ShardError) as excinfo:
-        run_study(SPEC, workers=2, shard_size=SHARD_SIZE, faults=plan, retry=FAST_RETRY)
-    assert excinfo.value.shard_index == 0
-
-
 # --------------------------------------------------------------------- #
 # Cache faults: misses and dropped writes, never poisoned artifacts
 # --------------------------------------------------------------------- #
@@ -163,46 +156,30 @@ def test_corrupt_cache_write_is_detected_as_a_miss_later(tmp_path, reference_byt
 
 
 # --------------------------------------------------------------------- #
-# Worker death: pool recovery and the degraded inline path
+# Worker death: inline execution raises, and the attempt is run-owned
 # --------------------------------------------------------------------- #
-def test_worker_death_is_recovered_by_pool_restart(reference_bytes):
+def test_inline_worker_death_raises_instead_of_exiting(reference_bytes):
+    # The test process surviving the run is the point: inline, the site raises.
     plan = FaultPlan([FaultRule(site=SITE_WORKER_DEATH, keys=(0,), times=1)])
-    results = run_study(
-        SPEC, workers=2, shard_size=SHARD_SIZE, faults=plan, retry=FAST_RETRY
-    )
+    results = run_study(SPEC, shard_size=SHARD_SIZE, faults=plan, retry=FAST_RETRY)
     assert results.artifact_bytes() == reference_bytes
-    stats = results.fault_stats
-    assert stats.worker_deaths == 1
-    assert stats.pool_restarts == 1
-    assert stats.recovered_shards >= 1  # the dead shard, plus any charged victims
-    assert stats.degraded_inline_shards == 0
+    assert results.fault_stats.shard_failures == 1
+    plan = FaultPlan([FaultRule(site=SITE_WORKER_DEATH, keys=(0,), times=5)])
+    with pytest.raises(ShardError) as excinfo:
+        run_study(SPEC, shard_size=SHARD_SIZE, faults=plan, retry=FAST_RETRY)
+    assert isinstance(excinfo.value.__cause__, FaultInjected)
+    assert "injected worker-death fault at shard 0" in str(excinfo.value.__cause__)
 
 
-def test_exhausted_pool_restarts_fall_back_to_inline(reference_bytes):
-    plan = FaultPlan([FaultRule(site=SITE_WORKER_DEATH, keys=(0,), times=1)])
-    policy = RetryPolicy(base_delay_s=0.0, jitter=0.0, max_pool_restarts=0)
-    results = run_study(
-        SPEC, workers=2, shard_size=SHARD_SIZE, faults=plan, retry=policy
-    )
-    assert results.artifact_bytes() == reference_bytes
-    stats = results.fault_stats
-    assert stats.pool_restarts == 1
-    assert stats.degraded_inline_shards >= 1  # the rest of the grid ran in-process
-
-
-def test_inline_worker_death_raises_instead_of_exiting():
-    plan = FaultPlan([FaultRule(site=SITE_WORKER_DEATH, keys=(0,), times=1)])
-    with pytest.raises(FaultInjected, match="raised instead of exiting"):
-        _run_shard(StudyPlan.decode(SPEC.to_dict(), SHARD_SIZE), 0, True, plan.to_dict(), 0, False)
-
-
-def test_respawned_worker_does_not_reset_the_fault_schedule():
-    # The attempt number is parent-owned: shipping attempt=times means the
-    # site must NOT fire again, no matter how fresh the worker process is.
+def test_respawned_worker_does_not_reset_the_fault_schedule(reference_bytes):
+    # The attempt number is run-owned: at attempt=times the site must NOT
+    # fire again, no matter how fresh the process evaluating the shard is.
     plan = FaultPlan([FaultRule(site=SITE_WORKER_DEATH, keys=(0,), times=2)])
-    study = StudyPlan.decode(SPEC.to_dict(), SHARD_SIZE)
-    shard = _run_shard(study, 0, True, plan.to_dict(), 2, False)
-    assert shard.shape == (4,)
+    assert plan.shard_fault(0, 1) == SITE_WORKER_DEATH
+    assert plan.shard_fault(0, 2) is None
+    results = run_study(SPEC, shard_size=SHARD_SIZE, faults=plan, retry=FAST_RETRY)
+    assert results.artifact_bytes() == reference_bytes
+    assert results.fault_stats.shard_failures == 2
 
 
 # --------------------------------------------------------------------- #
@@ -215,8 +192,6 @@ def test_retry_policy_validation():
         RetryPolicy(base_delay_s=-0.1)
     with pytest.raises(ValidationError, match="jitter"):
         RetryPolicy(jitter=1.5)
-    with pytest.raises(ValidationError, match="max_pool_restarts"):
-        RetryPolicy(max_pool_restarts=-1)
 
 
 def test_backoff_grows_exponentially_and_caps():

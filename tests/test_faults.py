@@ -196,6 +196,17 @@ class TestPlanSerialization:
         assert clone.fires_counted(SITE_CACHE_READ, key=0) is not None
 
 
+def test_shard_fault_names_worker_death_ahead_of_shard_eval():
+    plan = FaultPlan([
+        FaultRule(site=SITE_SHARD_EVAL, keys=(0, 1), times=1),
+        FaultRule(site=SITE_WORKER_DEATH, keys=(0,), times=1),
+    ])
+    assert plan.shard_fault(0, 0) == SITE_WORKER_DEATH
+    assert plan.shard_fault(1, 0) == SITE_SHARD_EVAL
+    assert plan.shard_fault(1, 1) is None
+    assert plan.shard_fault(2, 0) is None
+
+
 # --------------------------------------------------------------------- #
 # Stats and the exception type
 # --------------------------------------------------------------------- #
@@ -206,9 +217,8 @@ def test_fault_stats_clean_flag():
     assert not stats.clean
     assert stats.as_dict()["shard_retries"] == 1
     assert set(stats.as_dict()) == {
-        "shard_failures", "shard_retries", "recovered_shards", "worker_deaths",
-        "pool_restarts", "degraded_inline_shards", "cache_read_faults",
-        "cache_write_faults",
+        "shard_failures", "shard_retries", "recovered_shards",
+        "cache_read_faults", "cache_write_faults",
     }
 
 

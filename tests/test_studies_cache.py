@@ -182,10 +182,10 @@ class TestCachedStudies:
         assert fresh_counter.stats() == {"hits": 2, "misses": 0, "requests": 2}
         assert results.spec.name == "dashboard-rerun"
 
-    def test_multiprocess_run_populates_and_serves(self, spec, cache):
-        cold = run_study(spec, workers=2, shard_size=2, cache=cache)
+    def test_multishard_run_populates_and_serves(self, spec, cache):
+        cold = run_study(spec, shard_size=2, cache=cache)
         assert cache.misses == 4 and cache.hits == 0
-        warm = run_study(spec, workers=2, shard_size=2, cache=cache)
+        warm = run_study(spec, shard_size=2, cache=cache)
         assert cache.hits == 4
         assert warm.to_json() == cold.to_json()
 

@@ -1,10 +1,11 @@
 """Executor tests: the sharded-determinism contract and the fast path.
 
 The determinism audit required by the study subsystem: one spec, executed
-with 1, 2, and 4 workers, with re-ordered shards, and with the vectorized
-fast path or the scalar reference loop, must produce *byte-identical*
-results artifacts.  See ``repro/_rng.py`` (spawn-stream seeding rule) and
-the ``repro.studies.executor`` module docstring for the contract.
+with re-ordered shards, and with the vectorized fast path or the scalar
+reference loop, must produce *byte-identical* results artifacts (fleet
+topologies are audited in ``tests/test_distributed_workers.py``).  See
+``repro/_rng.py`` (spawn-stream seeding rule) and the
+``repro.studies.executor`` module docstring for the contract.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def audit_spec() -> ScenarioSpec:
 
 @pytest.fixture(scope="module")
 def reference_bytes(audit_spec) -> str:
-    return run_study(audit_spec, workers=1, shard_size=16).to_json()
+    return run_study(audit_spec, shard_size=16).to_json()
 
 
 class TestShardGrid:
@@ -49,10 +50,6 @@ class TestShardGrid:
         with pytest.raises(ValidationError, match="shard_size"):
             shard_ranges(10, 0)
 
-    def test_bad_worker_count_rejected(self, audit_spec):
-        with pytest.raises(ValidationError, match="workers"):
-            run_study(audit_spec, workers=0)
-
     def test_bad_shard_order_rejected(self, audit_spec):
         with pytest.raises(ValidationError, match="permutation"):
             run_study(audit_spec, shard_size=16, shard_order=[0, 0, 1])
@@ -61,27 +58,23 @@ class TestShardGrid:
 class TestDeterminismAudit:
     """Same spec, any execution strategy -> byte-identical artifacts."""
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_worker_counts_bit_identical(self, audit_spec, reference_bytes, workers):
-        assert run_study(audit_spec, workers=workers, shard_size=16).to_json() == reference_bytes
-
     def test_reordered_shards_bit_identical(self, audit_spec, reference_bytes):
         num_shards = len(shard_ranges(audit_spec.num_points, 16))
         order = list(reversed(range(num_shards)))
         assert (
-            run_study(audit_spec, workers=1, shard_size=16, shard_order=order).to_json()
+            run_study(audit_spec, shard_size=16, shard_order=order).to_json()
             == reference_bytes
         )
         rng = np.random.default_rng(3)
         order = list(rng.permutation(num_shards))
         assert (
-            run_study(audit_spec, workers=2, shard_size=16, shard_order=order).to_json()
+            run_study(audit_spec, shard_size=16, shard_order=order).to_json()
             == reference_bytes
         )
 
     def test_scalar_loop_bit_identical(self, audit_spec, reference_bytes):
         assert (
-            run_study(audit_spec, workers=1, shard_size=16, vectorize=False).to_json()
+            run_study(audit_spec, shard_size=16, vectorize=False).to_json()
             == reference_bytes
         )
 
@@ -92,8 +85,8 @@ class TestDeterminismAudit:
         shard grid by definition (they simulate dispatch *over* it), so they
         are the only other columns allowed to move with shard_size.
         """
-        r16 = run_study(audit_spec, workers=1, shard_size=16)
-        r7 = run_study(audit_spec, workers=1, shard_size=7)
+        r16 = run_study(audit_spec, shard_size=16)
+        r7 = run_study(audit_spec, shard_size=7)
         for name in r16.table.dtype.names:
             if name in ("mc_accuracy", "sched_latency_s", "sched_steals"):
                 continue
