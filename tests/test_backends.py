@@ -28,6 +28,8 @@ from repro.backends import (
 from repro.exceptions import ValidationError
 from repro.studies import ScenarioSpec, StudyCache, run_study
 
+from _fleet import fleet_results
+
 ALL_BACKENDS = ("aspen", "closed_form", "des")
 
 
@@ -290,8 +292,8 @@ class TestMultiBackendAcceptance:
             ["closed_form"] * 6 + ["aspen"] * 6 + ["des"] * 6
         )
 
-    def test_byte_identical_on_rerun(self, spec, reference_json):
-        assert run_study(spec, shard_size=4).to_json() == reference_json
+    def test_byte_identical_across_worker_counts(self, spec, reference_json):
+        assert fleet_results(spec, 4, 2).to_json() == reference_json
 
     def test_byte_identical_scalar_loop(self, spec, reference_json):
         assert (

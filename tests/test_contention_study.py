@@ -29,6 +29,8 @@ from repro.studies import (
 )
 from repro.studies.results import ARTIFACT_SCHEMA_VERSION
 
+from _fleet import fleet_results
+
 CONTENTION_COLUMNS = (
     "latency_p50_s",
     "latency_p95_s",
@@ -160,6 +162,11 @@ class TestByteIdentity:
 
     def test_rerun(self, reference_bytes):
         run = run_study(SPEC, shard_size=SHARD_SIZE)
+        assert run.artifact_bytes() == reference_bytes
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_counts(self, reference_bytes, workers):
+        run = fleet_results(SPEC, SHARD_SIZE, workers)
         assert run.artifact_bytes() == reference_bytes
 
     def test_scalar_vs_vectorized(self, reference_bytes):

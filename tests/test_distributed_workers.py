@@ -29,7 +29,7 @@ from repro.faults import (
 from repro.studies import ScenarioSpec, executor, run_study, shard_ranges, study_key
 from repro.studies.executor import RetryPolicy
 
-from _fleet import tally_workers
+from _fleet import run_with_workers, tally_workers
 
 
 SPEC = ScenarioSpec(
@@ -92,7 +92,6 @@ def run_distributed(
     if num_workers == 0:
         coord.drain_inline(sid, faults=NO_FAULTS)
         return coord.wait(sid).artifact_bytes(), coord, []
-    stop = threading.Event()
     workers = [
         ShardWorker(
             coord,
@@ -103,22 +102,7 @@ def run_distributed(
         )
         for i in range(num_workers)
     ]
-
-    def loop(worker):
-        try:
-            worker.run(stop=stop)
-        except DistributedError:
-            pass  # a worker giving up is part of several scenarios
-
-    threads = [threading.Thread(target=loop, args=(w,)) for w in workers]
-    for t in threads:
-        t.start()
-    try:
-        results = coord.wait(sid, timeout=60.0)
-    finally:
-        stop.set()
-        for t in threads:
-            t.join()
+    results = run_with_workers(coord, sid, workers)
     return results.artifact_bytes(), coord, workers
 
 

@@ -1,9 +1,10 @@
 """Executor tests: the sharded-determinism contract and the fast path.
 
 The determinism audit required by the study subsystem: one spec, executed
-with re-ordered shards, and with the vectorized fast path or the scalar
-reference loop, must produce *byte-identical* results artifacts (fleet
-topologies are audited in ``tests/test_distributed_workers.py``).  See
+on 2 and 4 fleet workers, with re-ordered shards, and with the vectorized
+fast path or the scalar reference loop, must produce *byte-identical*
+results artifacts (fleet topologies under faults are audited in
+``tests/test_distributed_workers.py``).  See
 ``repro/_rng.py`` (spawn-stream seeding rule) and the
 ``repro.studies.executor`` module docstring for the contract.
 """
@@ -19,6 +20,8 @@ from repro.core import SplitExecutionModel
 from repro.exceptions import ValidationError
 from repro.studies import ScenarioSpec, run_study, shard_ranges
 from repro.studies import executor
+
+from _fleet import fleet_results
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +60,10 @@ class TestShardGrid:
 
 class TestDeterminismAudit:
     """Same spec, any execution strategy -> byte-identical artifacts."""
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_worker_counts_bit_identical(self, audit_spec, reference_bytes, workers):
+        assert fleet_results(audit_spec, 16, workers).to_json() == reference_bytes
 
     def test_reordered_shards_bit_identical(self, audit_spec, reference_bytes):
         num_shards = len(shard_ranges(audit_spec.num_points, 16))
