@@ -282,7 +282,7 @@ class ShardCoordinator:
                     self._leases.pop(lease_id, None)
         if run.error is not None:
             raise run.error
-        return StudyResults(spec=run.plan.spec, table=run.table)
+        return run.results()
 
     # ------------------------------------------------------------------ #
     # The worker-facing verbs
@@ -380,7 +380,7 @@ class ShardCoordinator:
                     f"shard {shard_index} payload is {len(data)} bytes, "
                     f"expected {expected}; shard requeued",
                 )
-            shard = np.frombuffer(data, dtype=table_dtype()).copy()
+            shard = np.frombuffer(data, dtype=table_dtype())  # place() copies it
             done = run.place(shard_index, shard)
             self._release(study, shard_index, lease_id)
         run.publish(shard_index, shard, done, worker_id)

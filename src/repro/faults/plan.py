@@ -144,18 +144,6 @@ class FaultRule:
     def matches_key(self, key: int) -> bool:
         return self.keys is None or key in self.keys
 
-    def to_dict(self) -> dict:
-        payload: dict = {"site": self.site, "times": self.times}
-        if self.keys is not None:
-            payload["keys"] = list(self.keys)
-        if self.probability != 1.0:
-            payload["probability"] = self.probability
-        if self.effect != "raise":
-            payload["effect"] = self.effect
-        if self.site == SITE_HTTP_SLOW:
-            payload["delay_s"] = self.delay_s
-        return payload
-
     @classmethod
     def from_dict(cls, payload: Mapping) -> "FaultRule":
         if not isinstance(payload, Mapping):
@@ -227,9 +215,6 @@ class FaultPlan:
             n = self._counters.get((site, key), 0)
             self._counters[(site, key)] = n + 1
         return self.fires(site, key=key, attempt=n)
-
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "rules": [rule.to_dict() for rule in self.rules]}
 
     @classmethod
     def from_dict(cls, payload: Mapping | Sequence) -> "FaultPlan":

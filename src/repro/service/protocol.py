@@ -33,7 +33,10 @@ POST      ``/distributed/push``        worker push: raw shard bytes (the
                                        digest); 409 ``shard-rejected`` on a
                                        failed verification, which requeues;
                                        404 ``unknown-study`` once the study
-                                       is handed back (the worker drops it)
+                                       is handed back (the worker drops it);
+                                       400 ``invalid-push`` for an empty
+                                       ``X-Worker-Id`` or a bad
+                                       ``X-Shard-Index``
 POST      ``/distributed/fail``        cooperative failure report for a lease
 ========  ===========================  ==========================================
 
@@ -91,6 +94,7 @@ __all__ = [
     "HEADER_CACHE_SHARDS",
     "HEADER_SERVED_FROM_CACHE",
     "ERR_INVALID_JSON",
+    "ERR_INVALID_PUSH",
     "ERR_INVALID_SPEC",
     "ERR_INVALID_QUERY",
     "ERR_UNKNOWN_BACKEND",
@@ -137,6 +141,8 @@ HEADER_CACHE_SHARDS = "X-Study-Cache-Shards"
 
 # Error codes (4xx unless noted).
 ERR_INVALID_JSON = "invalid-json"            # 400: body is not JSON
+ERR_INVALID_PUSH = "invalid-push"            # 400: push headers name no worker, or a
+                                             # shard index that is not an in-range integer
 ERR_INVALID_SPEC = "invalid-spec"            # 400: JSON is not a valid spec
 ERR_INVALID_QUERY = "invalid-query"          # 400: malformed query parameter (?wait=)
 ERR_UNKNOWN_BACKEND = "unknown-backend"      # 400: backend axis names nobody registered

@@ -49,6 +49,7 @@ from .journal import JobJournal
 from .protocol import (
     API_VERSION,
     ERR_INVALID_JSON,
+    ERR_INVALID_PUSH,
     ERR_INVALID_QUERY,
     ERR_INVALID_SPEC,
     ERR_JOB_FAILED,
@@ -325,7 +326,7 @@ class _Handler(BaseHTTPRequestHandler):
             shard_index = int(self.headers.get(HEADER_SHARD_INDEX, ""))
         except ValueError:
             raise ServiceError(
-                ERR_INVALID_JSON, f"{HEADER_SHARD_INDEX} must be an integer", status=400
+                ERR_INVALID_PUSH, f"{HEADER_SHARD_INDEX} must be an integer", status=400
             ) from None
         try:
             body = coordinator.push(
@@ -342,8 +343,8 @@ class _Handler(BaseHTTPRequestHandler):
             ) from exc
         except UnknownStudy as exc:
             raise ServiceError(ERR_UNKNOWN_STUDY, str(exc), status=404) from exc
-        except ValidationError as exc:
-            raise ServiceError(ERR_INVALID_JSON, str(exc), status=400) from exc
+        except ValidationError as exc:  # empty worker id, index out of range
+            raise ServiceError(ERR_INVALID_PUSH, str(exc), status=400) from exc
         return 200, {"api_version": API_VERSION, **body}, {}
 
     def _post_fail(self):

@@ -38,11 +38,33 @@ Consequences, each load-bearing:
 * the ``backend`` axis participates through the grid identity, so each
   backend's sub-grid caches independently of what else a spec sweeps.
 
-Entries are raw structured-array bytes (``table.tobytes()``) written
-atomically (temp file + ``os.replace``); a corrupt or short entry is
-treated as a miss and rewritten.  The store is safe for concurrent
-readers and last-writer-wins for concurrent writers of the *same* key —
-both write identical bytes by construction.
+The same payload with ``"kind": "study-columns"`` and no ``shard_index``
+keys the grid's **columns entry**: the artifact's encoded ``"columns"``
+object (see :func:`~repro.studies.results.encode_columns`), which depends
+on the grid alone, so every later study of the grid — any display name —
+splices it instead of formatting its floats again.  ``run_study`` never
+writes it; :meth:`StudyResults.artifact_bytes
+<repro.studies.results.StudyResults.artifact_bytes>` does, on the first
+encode of a study that ran over the cache.  Grids of fewer than
+:data:`COLUMNS_ENTRY_MIN_POINTS` points get no entry: encoding them again
+is cheaper than a file.
+
+Every key of one grid hashes the same canonical prefix (``code_version``,
+``columns``, ``grid`` — the fields that sort before ``kind``) followed by
+a short tail.  The prefix is serialized and hashed once per spec object
+and shard size, and each key copies that hash state, so a study's shard
+keys cost one ``cache_identity()`` serialization, not one each.  The
+digests are the ones a whole-payload hash gives, so no stored entry is
+orphaned.
+
+Shard entries are raw structured-array bytes (``table.tobytes()``), read
+straight into the study table's rows; a columns entry is an 8-byte
+little-endian length followed by that many bytes of JSON.  Both are
+written atomically (temp file + ``os.replace``); a torn, short or grown
+entry is treated as a miss and rewritten.  Only shard loads count in
+:meth:`StudyCache.stats`.  The store is safe for concurrent readers and
+last-writer-wins for concurrent writers of the *same* key — both write
+identical bytes by construction.
 """
 
 from __future__ import annotations
@@ -50,6 +72,8 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+import threading
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,27 +81,120 @@ import numpy as np
 from .. import __version__ as _CODE_VERSION
 from .._json import canonical_dumps
 from ..exceptions import ValidationError
-from .results import ARTIFACT_SCHEMA_VERSION, RESULT_COLUMNS, table_dtype
+from .results import ARTIFACT_SCHEMA_VERSION, RESULT_COLUMNS, table_dtype, unfilled_table
 from .spec import ScenarioSpec
 
-__all__ = ["StudyCache", "study_key"]
+__all__ = ["ColumnsEntry", "StudyCache", "study_key"]
 
 
-def _identity_payload(spec: ScenarioSpec, shard_size: int) -> dict:
-    """The shared content-identity fields every cache/job key hashes."""
-    if shard_size < 1:
-        raise ValidationError(f"shard_size must be >= 1, got {shard_size}")
-    return {
-        "code_version": _CODE_VERSION,
-        "schema_version": ARTIFACT_SCHEMA_VERSION,
-        "columns": [list(column) for column in RESULT_COLUMNS],
-        "grid": spec.cache_identity(),
-        "shard_size": int(shard_size),
-    }
+class _GridKeys:
+    """The content addresses of one grid at one shard size.
+
+    A key payload is ``{code_version, columns, grid}`` — every field that
+    sorts before ``kind`` — plus ``{kind, schema_version, shard_size, ...}``,
+    whose fields all sort after ``grid``.  So its canonical JSON is the
+    first part's text without the closing brace, a comma, and the second
+    part's text without the opening brace: the first part is hashed once
+    here and each key copies that state.
+    """
+
+    def __init__(self, spec: ScenarioSpec, shard_size: int) -> None:
+        if shard_size < 1:
+            raise ValidationError(f"shard_size must be >= 1, got {shard_size}")
+        head = canonical_dumps({
+            "code_version": _CODE_VERSION,
+            "columns": [list(column) for column in RESULT_COLUMNS],
+            "grid": spec.cache_identity(),
+        })
+        self._prefix = hashlib.sha256(head[:-1].encode("utf-8") + b",")
+        self.shard_size = int(shard_size)
+
+    def key(self, kind: str, **fields) -> str:
+        """Hex sha256 of the ``kind`` payload with ``fields`` (named after ``grid``)."""
+        tail = canonical_dumps({
+            "kind": kind,
+            "schema_version": ARTIFACT_SCHEMA_VERSION,
+            "shard_size": self.shard_size,
+            **fields,
+        })
+        digest = self._prefix.copy()
+        digest.update(tail[1:].encode("utf-8"))
+        return digest.hexdigest()
 
 
-def _digest(payload: dict) -> str:
-    return hashlib.sha256(canonical_dumps(payload).encode("utf-8")).hexdigest()
+#: Recently keyed grids, by ``(id(spec), shard_size)``.  Each value holds
+#: its spec, so no id in the table can be reused by a new object.
+_GRIDS: dict[tuple[int, int], tuple[ScenarioSpec, _GridKeys]] = {}
+_GRIDS_HELD = 64
+_GRIDS_LOCK = threading.Lock()
+
+
+def _grid_keys(spec: ScenarioSpec, shard_size: int) -> _GridKeys:
+    """The keys of ``spec``'s grid, serialized once per spec object."""
+    slot = (id(spec), shard_size)
+    with _GRIDS_LOCK:
+        held = _GRIDS.get(slot)
+    if held is not None:
+        return held[1]
+    keys = _GridKeys(spec, shard_size)
+    with _GRIDS_LOCK:
+        _GRIDS[slot] = (spec, keys)
+        while len(_GRIDS) > _GRIDS_HELD:
+            del _GRIDS[next(iter(_GRIDS))]
+    return keys
+
+
+def _write_atomic(path: Path, *chunks: bytes) -> None:
+    """Write ``chunks`` to ``path`` through a temp file and ``os.replace``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+#: Smaller grids get no columns entry: encoding them again costs less than
+#: creating and reading a file (a 1-point study encodes in ~0.1 ms, and its
+#: entry took ~2 ms to write inside a running server).
+COLUMNS_ENTRY_MIN_POINTS = 1024
+
+#: Bytes of the little-endian length that opens a columns entry.
+_LENGTH_BYTES = 8
+
+
+@dataclass(frozen=True)
+class ColumnsEntry:
+    """One grid's encoded ``"columns"`` object in a :class:`StudyCache`."""
+
+    path: Path
+
+    def load(self) -> bytes | None:
+        """The stored columns JSON, or ``None`` when the entry is absent,
+        torn, short or grown (its length header disagrees with its size)."""
+        try:
+            data = self.path.read_bytes()
+        except OSError:
+            return None
+        size = len(data) - _LENGTH_BYTES
+        if size < 0 or int.from_bytes(data[:_LENGTH_BYTES], "little") != size:
+            return None
+        return data[_LENGTH_BYTES:]
+
+    def store(self, columns: bytes) -> None:
+        """Write the entry atomically; a failed write is ignored, as a
+        failed shard store is — the artifact never depends on it."""
+        try:
+            _write_atomic(self.path, len(columns).to_bytes(_LENGTH_BYTES, "little"), columns)
+        except OSError:
+            pass
 
 
 def study_key(spec: ScenarioSpec, shard_size: int) -> str:
@@ -94,13 +211,7 @@ def study_key(spec: ScenarioSpec, shard_size: int) -> str:
     bytes — while a re-labelled copy of a known grid becomes a *new* job
     whose shards are all served from this cache.
     """
-    return _digest(
-        {
-            "kind": "study",
-            **_identity_payload(spec, shard_size),
-            "spec": spec.to_dict(),
-        }
-    )
+    return _grid_keys(spec, shard_size).key("study", spec=spec.to_dict())
 
 
 class StudyCache:
@@ -125,15 +236,18 @@ class StudyCache:
     @staticmethod
     def shard_key(spec: ScenarioSpec, shard_size: int, shard_index: int) -> str:
         """The content address (hex sha256) of one shard of one grid."""
-        payload = {
-            "kind": "study-shard",
-            **_identity_payload(spec, shard_size),
-            "shard_index": int(shard_index),
-        }
-        return _digest(payload)
+        return _grid_keys(spec, shard_size).key("study-shard", shard_index=int(shard_index))
 
     def shard_path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.shard"
+
+    def columns_entry(self, spec: ScenarioSpec, shard_size: int) -> ColumnsEntry | None:
+        """Where ``spec``'s grid keeps its encoded ``"columns"`` object;
+        None for a grid of fewer than :data:`COLUMNS_ENTRY_MIN_POINTS`."""
+        if spec.num_points < COLUMNS_ENTRY_MIN_POINTS:
+            return None
+        key = _grid_keys(spec, shard_size).key("study-columns")
+        return ColumnsEntry(self.root / key[:2] / f"{key}.columns")
 
     @staticmethod
     def _shard_rows(spec: ScenarioSpec, shard_size: int, shard_index: int) -> int:
@@ -150,26 +264,40 @@ class StudyCache:
     # Load / store
     # ------------------------------------------------------------------ #
     def load_shard(
-        self, spec: ScenarioSpec, shard_size: int, shard_index: int
+        self,
+        spec: ScenarioSpec,
+        shard_size: int,
+        shard_index: int,
+        out: np.ndarray | None = None,
     ) -> np.ndarray | None:
         """The cached rows of one shard, or ``None`` on a miss.
 
-        A present-but-wrong-size entry (torn write, stale schema that
+        The entry is read straight into ``out`` when given — the shard's
+        slice of a study table, say, which then needs no copy — and into a
+        new array otherwise; on a miss ``out`` holds unspecified bytes.  A
+        present-but-wrong-size entry (torn write, stale schema that
         slipped past the key — defense in depth) counts as a miss.
         """
         rows = self._shard_rows(spec, shard_size, shard_index)
         path = self.shard_path(self.shard_key(spec, shard_size, shard_index))
-        dtype = table_dtype()
+        if out is None:
+            out = unfilled_table(rows)
+        elif out.dtype != table_dtype() or out.shape != (rows,):
+            raise ValidationError(
+                f"shard buffer has dtype {out.dtype} / shape {out.shape}; "
+                f"expected {rows} rows of the results dtype"
+            )
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as handle:
+                whole = os.fstat(handle.fileno()).st_size == out.nbytes
+                whole = whole and handle.readinto(out.view(np.uint8)) == out.nbytes
         except OSError:
-            self.misses += 1
-            return None
-        if len(data) != rows * dtype.itemsize:
+            whole = False
+        if not whole:
             self.misses += 1
             return None
         self.hits += 1
-        return np.frombuffer(data, dtype=dtype).copy()
+        return out
 
     def store_shard(
         self,
@@ -186,18 +314,7 @@ class StudyCache:
                 f"expected {rows} rows of the results dtype"
             )
         path = self.shard_path(self.shard_key(spec, shard_size, shard_index))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(table.tobytes())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        _write_atomic(path, table.tobytes())
         return path
 
     # ------------------------------------------------------------------ #

@@ -8,6 +8,13 @@ hostnames — so the same spec executed anywhere with any worker count
 produces *byte-identical* files; that property is the backbone of the
 executor's determinism audit.
 
+The artifact is written by :func:`encode_columns` plus a small header:
+each column's distinct values are formatted once and gathered by index,
+and a study whose grid has been encoded before splices the ``"columns"``
+object from its :class:`~repro.studies.cache.StudyCache` entry instead.
+``to_dict`` + ``canonical_line`` (:meth:`StudyResults.to_json`) stays the
+reference encoder the fast path is tested against, byte for byte.
+
 Aggregations reuse the core analysis helpers rather than reimplementing
 them: log-log scaling exponents via :func:`repro.core.scaling.loglog_slope`,
 sampled crossovers via :func:`repro.core.scaling.crossover_index`, and
@@ -23,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._json import canonical_line
+from .._json import canonical_dumps, canonical_line
 from ..backends.base import MAX_BACKEND_NAME_LENGTH
 from ..contention.disciplines import MAX_QUEUE_POLICY_NAME_LENGTH
 from ..distributed.scheduler import MAX_SCHEDULER_NAME_LENGTH
@@ -34,8 +41,9 @@ from .spec import AXIS_ORDER, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..faults import FaultStats
+    from .cache import ColumnsEntry
 
-__all__ = ["StudyResults", "RESULT_COLUMNS", "ARTIFACT_SCHEMA_VERSION"]
+__all__ = ["StudyResults", "RESULT_COLUMNS", "ARTIFACT_SCHEMA_VERSION", "encode_columns"]
 
 #: Version 2 added the ``backend`` axis column (the registry-dispatched
 #: performance-backend axis of the spec grid).  Version 3 added the
@@ -104,9 +112,71 @@ _CONTENTION_METRIC_COLUMNS = (
 )
 
 
+#: Shorter columns are dumped whole: below this, ``np.unique``'s fixed cost
+#: (~25 us a column) outweighs formatting repeated numbers again.
+_DEDUP_MIN_ROWS = 256
+
+
+def _encode_column(values: np.ndarray, code: str) -> str:
+    """One column as the canonical JSON list ``json.dumps`` writes for it.
+
+    A long numeric column has each distinct value formatted once, and the
+    tokens are gathered by index.  Floats are deduplicated on their bit
+    patterns: ``np.unique`` on the values would merge ``-0.0`` with
+    ``0.0``, which format differently.  String columns, short columns and
+    mostly distinct ones are dumped whole: sorting fixed-width strings
+    costs more than formatting them, and the others gain nothing.
+    """
+    if code.startswith("U") or len(values) < _DEDUP_MIN_ROWS:
+        return _dumps_values(values, code)
+    keys = np.ascontiguousarray(values).view(np.uint64) if code == "f8" else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    if 2 * len(distinct) > len(values):
+        return _dumps_values(values, code)
+    if code == "f8":
+        distinct = distinct.view(np.float64)
+    tokens = _dumps_values(distinct, code)[1:-1].split(",")  # no number holds a comma
+    return "[" + ",".join(np.array(tokens, dtype=object)[inverse].tolist()) + "]"
+
+
+#: ``canonical_dumps`` for a list, without building an encoder per call.
+_DUMPS_LIST = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _dumps_values(values: np.ndarray, code: str) -> str:
+    column = values.tolist()  # str / int / float per dtype
+    if code == "f8" and np.isnan(values).any():
+        column = [None if v != v else v for v in column]  # NaN -> null
+    return _DUMPS_LIST(column)
+
+
+def encode_columns(table: np.ndarray) -> bytes:
+    """The artifact's ``"columns"`` object, as canonical JSON bytes.
+
+    Byte-identical to that object inside ``canonical_line(to_dict())``:
+    sorted column names (plain identifiers, so quoting is their JSON form),
+    compact separators, ``json.dumps`` number and string forms.
+    """
+    body = ",".join(
+        f'"{name}":{_encode_column(table[name], code)}'
+        for name, code in sorted(RESULT_COLUMNS)
+    )
+    return ("{" + body + "}").encode("utf-8")
+
+
+_TABLE_DTYPE = np.dtype(list(RESULT_COLUMNS))
+
+
 def table_dtype() -> np.dtype:
     """The structured dtype of a study results table."""
-    return np.dtype(list(RESULT_COLUMNS))
+    return _TABLE_DTYPE
+
+
+def unfilled_table(num_points: int) -> np.ndarray:
+    """A results table with unspecified contents, for a caller that writes
+    every row before reading any.  Allocated as bytes: numpy zero-fills a
+    new array of a structured dtype, ~130 us for a 6,100-row table."""
+    return np.empty(num_points * _TABLE_DTYPE.itemsize, dtype=np.uint8).view(_TABLE_DTYPE)
 
 
 def empty_table(num_points: int) -> np.ndarray:
@@ -129,11 +199,18 @@ class StudyResults:
     equality, so a run that survived transient faults serializes
     byte-identically to a clean run.  ``None`` on results loaded from an
     artifact (the artifact intentionally cannot say how it was computed).
+
+    ``columns_entry`` is where this grid's encoded ``"columns"`` object
+    lives in the :class:`~repro.studies.cache.StudyCache` the study ran
+    over (set by ``run_study(cache=)`` and the coordinator's ``wait``);
+    :meth:`artifact_bytes` splices it, or encodes and stores it.  Like
+    ``fault_stats`` it is not compared.
     """
 
     spec: ScenarioSpec
     table: np.ndarray
     fault_stats: "FaultStats | None" = field(default=None, compare=False)
+    columns_entry: "ColumnsEntry | None" = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.table.dtype != table_dtype():
@@ -350,12 +427,15 @@ class StudyResults:
             if code == "f8" and np.isnan(values).any():
                 column = [None if v != v else v for v in column]  # NaN -> null
             columns[name] = column
+        return {**self._header(), "columns": columns}
+
+    def _header(self) -> dict:
+        """Every artifact field but ``columns``."""
         return {
             "schema_version": ARTIFACT_SCHEMA_VERSION,
             "kind": "scenario-study-results",
             "spec": self.spec.to_dict(),
             "num_points": self.num_points,
-            "columns": columns,
         }
 
     @classmethod
@@ -388,14 +468,32 @@ class StudyResults:
         return cls(spec=spec, table=table)
 
     def to_json(self) -> str:
-        """Canonical artifact text: sorted keys, fixed separators, trailing newline."""
+        """Canonical artifact text: sorted keys, fixed separators, trailing newline.
+
+        The reference encoder: :meth:`artifact_bytes` writes the same
+        text, UTF-8 encoded, without building the per-row lists.
+        """
         return canonical_line(self.to_dict())
 
     def artifact_bytes(self) -> bytes:
         """The canonical artifact as UTF-8 bytes — exactly what :meth:`save`
         writes and what the study service puts on the wire, so HTTP-served
-        and directly-saved artifacts compare byte for byte."""
-        return self.to_json().encode("utf-8")
+        and directly-saved artifacts compare byte for byte.
+
+        ``"columns"`` sorts first among the artifact's keys, so the
+        artifact is the columns object followed by the canonical header
+        (kind, num_points, schema_version, spec).  The columns come from
+        :attr:`columns_entry` when it holds them; otherwise they are
+        encoded here and stored there.
+        """
+        entry = self.columns_entry
+        columns = None if entry is None else entry.load()
+        if columns is None:
+            columns = encode_columns(self.table)
+            if entry is not None:
+                entry.store(columns)
+        header = canonical_dumps(self._header())
+        return b"".join((b'{"columns":', columns, b",", header[1:].encode("utf-8"), b"\n"))
 
     def save(self, path: str | Path) -> Path:
         """Write the artifact; identical results always produce identical bytes."""

@@ -384,6 +384,25 @@ class TestInlineAndCache:
         assert cache.hits == 4
         assert warm.table.tobytes() == results.table.tobytes()
 
+    def test_waited_results_share_the_grid_columns_entry(self, tmp_path):
+        grid = ScenarioSpec(
+            axes={"lps": list(range(1, 513)), "accuracy": [0.9, 0.99]}, name="entry", seed=5
+        )
+        cache = StudyCache(tmp_path / "cache")
+        coord = make(cache=cache)
+        sid = coord.register_study(grid, shard_size=256)
+        coord.drain_inline(sid)
+        coordinated = coord.wait(sid)
+        entry = coordinated.columns_entry
+        assert entry == cache.columns_entry(grid, 256)
+        reference = run_study(grid, shard_size=256).to_json().encode()
+        assert coordinated.artifact_bytes() == reference  # encodes and stores
+        assert entry.load() is not None
+        # A local run over the cache splices the coordinator's entry.
+        warm = run_study(grid, shard_size=256, cache=cache)
+        assert warm.columns_entry == entry
+        assert warm.artifact_bytes() == reference
+
     def test_progress_callback_sees_every_landing(self):
         events = []
         coord = make()

@@ -30,6 +30,7 @@ from repro.exceptions import PushRejected, ValidationError
 from repro.faults import FaultPlan
 from repro.service import StudyServer
 from repro.service.protocol import (
+    ERR_INVALID_PUSH,
     ERR_NOT_DISTRIBUTED,
     ERR_SHARD_REJECTED,
     ERR_UNKNOWN_STUDY,
@@ -254,6 +255,27 @@ def test_push_without_worker_id_is_a_400(server):
         raw_body=data, headers=push_headers(lease, data),
     )
     assert status == 200
+
+
+@pytest.mark.parametrize(
+    ("header", "value"),
+    [
+        (HEADER_WORKER_ID, ""),
+        (HEADER_SHARD_INDEX, "two"),
+        (HEADER_SHARD_INDEX, "3"),  # the study has shards 0-2
+        (HEADER_SHARD_INDEX, "-1"),
+    ],
+)
+def test_bad_push_headers_are_invalid_push(server, header, value):
+    lease = submit_and_lease(server)
+    data = evaluate_lease(lease)
+    headers = {**push_headers(lease, data), header: value}
+    status, _, body = request(
+        server, "POST", "/distributed/push", raw_body=data, headers=headers
+    )
+    assert status == 400
+    assert json.loads(body)["error"]["code"] == ERR_INVALID_PUSH
+    assert server.coordinator.stats.rejected_pushes == 0
 
 
 def test_duplicate_push_accepted_idempotently(server):

@@ -9,7 +9,9 @@ here) is marked ``perf`` and deselected by default — run it with
 from __future__ import annotations
 
 import json
+import statistics
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -127,6 +129,43 @@ class TestCommittedArtifact:
         entry = report["kernels"][kernel]
         assert entry["seed_seconds"] is not None
         assert entry["speedup_vs_seed"] >= floor
+
+
+@pytest.mark.perf
+def test_columns_entry_splice_beats_the_reference_encoder(tmp_path):
+    """A cache-warm study's ``artifact_bytes()`` splices its grid's columns
+    entry; the floor is >= 5x over the reference encoder
+    (``canonical_line(to_dict())``).  Both are timed in this process,
+    interleaved pair by pair, on a study the size of perfbench's grid_warm
+    (6,100 points, shard size 250), so the ratio needs no recorded
+    baseline and a host that slows down slows both sides of each pair.
+    """
+    from repro._json import canonical_line
+    from repro.studies import ScenarioSpec, StudyCache, run_study
+
+    spec = ScenarioSpec(
+        axes={
+            "backend": ["closed_form"],
+            "embedding_mode": ["online", "offline"],
+            "accuracy": [0.9, 0.99],
+            "lps": list(range(1, 1526)),
+        },
+        name="splice-floor",
+        seed=7,
+    )
+    results = run_study(spec, shard_size=250, cache=StudyCache(tmp_path / "cache"))
+    reference = canonical_line(results.to_dict()).encode("utf-8")
+    assert results.artifact_bytes() == reference  # encodes and stores the entry
+    ratios = []
+    for _ in range(9):
+        started = time.perf_counter()
+        spliced = results.artifact_bytes()
+        middle = time.perf_counter()
+        canonical_line(results.to_dict()).encode("utf-8")
+        ended = time.perf_counter()
+        assert spliced == reference
+        ratios.append((ended - middle) / (middle - started))
+    assert statistics.median(ratios) >= 5.0, sorted(ratios)
 
 
 @pytest.mark.perf

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.studies import ScenarioSpec, StudyCache, run_study
+from repro.studies import ScenarioSpec, StudyCache, StudyResults, run_study, shard_ranges
+from repro.studies.cache import COLUMNS_ENTRY_MIN_POINTS
 from repro.studies.executor import StudyPlan, _run_shard
-from repro.studies.results import empty_table
+from repro.studies.results import empty_table, encode_columns
 
 
 @pytest.fixture
@@ -26,6 +27,23 @@ def spec() -> ScenarioSpec:
         mc_trials=16,
         seed=2,
     )
+
+
+@pytest.fixture
+def grid() -> ScenarioSpec:
+    """The smallest grid that gets a columns entry (4 shards of 256)."""
+    spec = ScenarioSpec(
+        axes={
+            "lps": list(range(1, 257)),
+            "accuracy": [0.9, 0.99],
+            "embedding_mode": ["online", "offline"],
+        },
+        name="columns-grid",
+        mc_trials=4,
+        seed=2,
+    )
+    assert spec.num_points == COLUMNS_ENTRY_MIN_POINTS
+    return spec
 
 
 @pytest.fixture
@@ -199,6 +217,22 @@ class TestCachedStudies:
 
 
 class TestCliCacheFlag:
+    def test_study_cache_flag_stores_and_splices_the_columns_entry(self, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = [
+            "study", "--lps", "1:257", "--accuracy", "0.9,0.99",
+            "--embedding-mode", "online,offline", "--shard-size", "256",
+            "--name", "cli-columns", "--no-summary", "--cache", str(tmp_path / "cache"),
+        ]
+        assert main(argv + ["--out", str(tmp_path / "a.json")]) == 0
+        assert len(list((tmp_path / "cache").glob("*/*.columns"))) == 1
+        assert main(argv + ["--out", str(tmp_path / "b.json")]) == 0
+        capsys.readouterr()
+        artifact = (tmp_path / "a.json").read_bytes()
+        assert (tmp_path / "b.json").read_bytes() == artifact
+        assert StudyResults.load(tmp_path / "a.json").to_json().encode() == artifact
+
     def test_study_cache_flag_roundtrip(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -214,3 +248,149 @@ class TestCliCacheFlag:
         warm_out = capsys.readouterr().out
         assert "cache: served 1/1 shards from cache" in warm_out
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+# --------------------------------------------------------------------- #
+# Key splice: one hashed prefix per grid, digests unchanged
+# --------------------------------------------------------------------- #
+def _whole_payload_key(grid, shard_size, kind, **fields):
+    """A key as the cache computed it before the prefix splice: the sha256
+    of the whole canonical payload, ``cache_identity()`` serialized per key."""
+    import hashlib
+
+    from repro import __version__
+    from repro._json import canonical_dumps
+    from repro.studies.results import ARTIFACT_SCHEMA_VERSION, RESULT_COLUMNS
+
+    payload = {
+        "kind": kind,
+        "code_version": __version__,
+        "schema_version": ARTIFACT_SCHEMA_VERSION,
+        "columns": [list(column) for column in RESULT_COLUMNS],
+        "grid": grid.cache_identity(),
+        "shard_size": shard_size,
+        **fields,
+    }
+    return hashlib.sha256(canonical_dumps(payload).encode("utf-8")).hexdigest()
+
+
+_KEYED_SPECS = (
+    ScenarioSpec(axes={"lps": [1, 2, 3, 4], "accuracy": [0.9, 0.99]}, mc_trials=16, seed=2),
+    # Explicitly spelled defaults: the effective grid of the bare spec.
+    ScenarioSpec(axes={"lps": [1, 2], "accuracy": [0.99], "backend": ["closed_form"]}),
+    ScenarioSpec(axes={"lps": [1, 2]}, name="bare"),
+    ScenarioSpec(
+        axes={
+            "backend": ["closed_form", "aspen", "des"],
+            "embedding_mode": ["online"],
+            "lps": list(range(1, 40)),
+        },
+        seed=9,
+    ),
+    ScenarioSpec(
+        axes={"backend": ["des"], "queue_policy": ["fifo", "priority"], "sessions": [4],
+              "arrival_rate": [2.0], "lps": [1, 2, 3]},
+    ),
+)
+
+
+class TestKeySplice:
+    @pytest.mark.parametrize("spec", _KEYED_SPECS, ids=lambda s: s.describe())
+    @pytest.mark.parametrize("shard_size", [1, 3, 64])
+    def test_digests_equal_the_whole_payload_hash(self, spec, shard_size):
+        from repro.studies import study_key
+
+        for index in range(len(shard_ranges(spec.num_points, shard_size))):
+            assert StudyCache.shard_key(spec, shard_size, index) == _whole_payload_key(
+                spec, shard_size, "study-shard", shard_index=index
+            )
+        assert study_key(spec, shard_size) == _whole_payload_key(
+            spec, shard_size, "study", spec=spec.to_dict()
+        )
+
+    def test_columns_entry_is_keyed_by_grid_and_kind(self, grid, cache):
+        key = _whole_payload_key(grid, 256, "study-columns")
+        assert cache.columns_entry(grid, 256).path == cache.root / key[:2] / f"{key}.columns"
+        relabelled = ScenarioSpec(
+            axes=dict(grid.axes), name="other-label", mc_trials=grid.mc_trials, seed=grid.seed
+        )
+        assert cache.columns_entry(relabelled, 256) == cache.columns_entry(grid, 256)
+        assert cache.columns_entry(grid, 512) != cache.columns_entry(grid, 256)
+
+    def test_bad_shard_size_still_rejected(self, spec):
+        with pytest.raises(ValidationError):
+            StudyCache.shard_key(spec, 0, 0)
+
+
+# --------------------------------------------------------------------- #
+# The columns entry: the artifact's encoded "columns" object per grid
+# --------------------------------------------------------------------- #
+class TestColumnsEntry:
+    def test_small_grids_get_no_entry(self, spec, cache):
+        assert spec.num_points < COLUMNS_ENTRY_MIN_POINTS
+        assert cache.columns_entry(spec, 4) is None
+        results = run_study(spec, shard_size=4, cache=cache)
+        assert results.columns_entry is None
+        assert results.artifact_bytes() == results.to_json().encode()
+
+    def test_run_study_never_writes_it_and_the_first_encode_does(self, grid, cache):
+        results = run_study(grid, shard_size=256, cache=cache)
+        entry = results.columns_entry
+        assert entry == cache.columns_entry(grid, 256)
+        assert not entry.path.exists()
+        reference = results.to_json().encode()
+        assert results.artifact_bytes() == reference
+        assert entry.load() == encode_columns(results.table)
+        # Every later study of the grid, under any name, splices it.
+        renamed = ScenarioSpec(
+            axes=dict(grid.axes), name="renamed", mc_trials=grid.mc_trials, seed=grid.seed
+        )
+        warm = run_study(renamed, shard_size=256, cache=cache)
+        assert warm.columns_entry == entry
+        assert warm.artifact_bytes() == warm.to_json().encode()
+
+    def test_a_present_entry_is_spliced_not_reencoded(self, grid, cache):
+        results = run_study(grid, shard_size=256, cache=cache)
+        planted = b'{"planted":[1]}'
+        results.columns_entry.store(planted)
+        assert results.artifact_bytes().startswith(b'{"columns":{"planted":[1]},')
+
+    @pytest.mark.parametrize("cut", ["tear", "half", "one-short"])
+    def test_torn_or_short_entry_is_a_miss_that_reencodes(self, grid, cache, cut):
+        results = run_study(grid, shard_size=256, cache=cache)
+        reference = results.artifact_bytes()
+        path = results.columns_entry.path
+        whole = path.read_bytes()
+        keep = {"tear": 7, "half": len(whole) // 2, "one-short": len(whole) - 1}[cut]
+        path.write_bytes(whole[:keep])  # 7 bytes is the `corrupt` fault's tear
+        assert results.columns_entry.load() is None
+        assert results.artifact_bytes() == reference
+        assert path.read_bytes() == whole  # rewritten whole
+
+    def test_grown_or_unreadable_entry_is_a_miss(self, grid, cache):
+        results = run_study(grid, shard_size=256, cache=cache)
+        reference = results.artifact_bytes()
+        path = results.columns_entry.path
+        path.write_bytes(path.read_bytes() + b"}")
+        assert results.columns_entry.load() is None
+        path.unlink()
+        path.mkdir()  # a directory squatting on the path: reads and writes fail
+        assert results.columns_entry.load() is None
+        assert results.artifact_bytes() == reference  # the failed store is ignored
+
+    def test_entry_of_another_code_version_is_never_read(self, grid, cache, monkeypatch):
+        import repro.studies.cache as cache_module
+
+        current = cache.columns_entry(grid, 256)
+        monkeypatch.setattr(cache_module, "_CODE_VERSION", "0.0.0-older")
+        older_spec = ScenarioSpec(
+            axes=dict(grid.axes), name="older", mc_trials=grid.mc_trials, seed=grid.seed
+        )
+        older = cache.columns_entry(older_spec, 256)
+        assert older.path != current.path
+        older.store(b'{"stale":[]}')
+        monkeypatch.undo()
+        results = run_study(grid, shard_size=256, cache=cache)
+        assert results.columns_entry == current
+        assert results.artifact_bytes() == results.to_json().encode()
+        assert older.path.read_bytes().endswith(b'{"stale":[]}')
