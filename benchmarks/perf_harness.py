@@ -237,7 +237,7 @@ def _study(check: bool):
     def op():
         run_study(spec)
 
-    return op, "study grid, 10000 points (2500 LPS x 2 pa x 2 modes), workers=1"
+    return op, "study grid, 10000 points (2500 LPS x 2 pa x 2 modes)"
 
 
 def _study_contended(check: bool):
@@ -316,35 +316,38 @@ def _study_faulted(check: bool):
 
     return op, (
         "faulted study grid, 10000 points over 40 shards, 1 injected transient "
-        "shard failure (retried), workers=1"
+        "shard failure (retried)"
     )
 
 
-def _study_distributed(check: bool):
+def distributed_study(spec, shard_size: int):
+    """``spec``'s results through one in-process worker draining the whole
+    grid over the full lease -> evaluate -> hash -> push -> verify path.
+
+    Single-threaded on purpose (``poll_s=0``): it prices the coordination
+    machinery, not thread scheduling noise."""
     from repro.distributed import ShardCoordinator, ShardWorker
     from repro.faults import FaultPlan
+
+    coord = ShardCoordinator()
+    sid = coord.register_study(spec, shard_size=shard_size)
+    worker = ShardWorker(coord, worker_id="perf", faults=FaultPlan([]), poll_s=0.0)
+    worker.run(max_shards=-(-spec.num_points // shard_size))
+    return coord.wait(sid, timeout=60.0)
+
+
+def _study_distributed(check: bool):
     from repro.studies import ScenarioSpec
 
-    # One in-process worker draining the whole grid through the full
-    # lease -> evaluate -> hash -> push -> verify path.  Single-threaded on
-    # purpose: the kernel prices the coordination machinery, not thread
-    # scheduling noise.
-    no_faults = FaultPlan([])
     if check:
         spec = ScenarioSpec(
             axes={"lps": list(range(1, 21)), "accuracy": [0.9, 0.99]},
             name="perf-dist-check",
         )
-        shard_size, num_shards = 5, 8
-
-        def op():
-            coord = ShardCoordinator(scheduler="work-stealing")
-            sid = coord.register_study(spec, shard_size=shard_size)
-            worker = ShardWorker(coord, worker_id="perf", faults=no_faults, poll_s=0.0)
-            worker.run(max_shards=num_shards)
-            coord.wait(sid, timeout=60.0)
-
-        return op, "distributed study, 40 points over 8 leased shards, 1 worker (check)"
+        return (
+            lambda: distributed_study(spec, 5),
+            "distributed study, 40 points over 8 leased shards, 1 worker (check)",
+        )
 
     spec = ScenarioSpec(
         axes={
@@ -354,16 +357,7 @@ def _study_distributed(check: bool):
         },
         name="perf-dist",
     )
-    shard_size, num_shards = 250, 40
-
-    def op():
-        coord = ShardCoordinator(scheduler="work-stealing")
-        sid = coord.register_study(spec, shard_size=shard_size)
-        worker = ShardWorker(coord, worker_id="perf", faults=no_faults, poll_s=0.0)
-        worker.run(max_shards=num_shards)
-        coord.wait(sid, timeout=60.0)
-
-    return op, (
+    return lambda: distributed_study(spec, 250), (
         "distributed study, 10000 points over 40 leased shards, 1 in-process "
         "worker, hash-verified pushes"
     )

@@ -228,7 +228,7 @@ echo "== distributed smoke (coordinator + 2 workers + kill -9) =="
 start_service "$CACHE_SCRATCH/coordinate.log" "shard coordinator" \
     python -m repro.cli coordinate --port 0 --quiet \
     --cache "$CACHE_SCRATCH/dist-cache" \
-    --shard-size 3 --lease-ttl 2 --scheduler work-stealing
+    --shard-size 3 --lease-ttl 2
 DIST_PID=$BG_PID DIST_URL=$BG_URL
 trap 'kill "$SERVICE_PID" "$CHAOS_PID" "$DIST_PID" 2>/dev/null || true; rm -rf "$CACHE_SCRATCH"' EXIT
 python -m repro.cli worker --coordinator "$DIST_URL" --id ci-w0 --poll 0.05 \

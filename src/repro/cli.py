@@ -46,8 +46,6 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .distributed.scheduler import DEFAULT_SCHEDULER, SCHEDULER_NAMES
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Split-execution performance models (Humble et al., 2016)",
@@ -133,17 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
         "coordinate",
         help="run the study service with distributed shard dispatch",
         description="A `serve` whose jobs are executed by leasing shards to "
-        "pulled `worker` processes over POST /distributed/lease|push|fail.  "
-        "Leases expire and requeue (a SIGKILLed worker costs nothing but "
-        "time), pushed bytes are verified against their content hash before "
-        "acceptance, and with no workers attached shards drain inline — the "
-        "served artifact is byte-identical in every topology.",
+        "pulled `worker` processes over POST /distributed/lease|push|fail, "
+        "largest modeled shard first.  Leases expire and requeue (a "
+        "SIGKILLed worker costs nothing but time), pushed bytes are verified "
+        "against their content hash before acceptance, and with no workers "
+        "attached shards drain inline — the served artifact is "
+        "byte-identical in every topology.",
     )
     _add_serve_flags(p)
-    p.add_argument("--scheduler", type=str, default=DEFAULT_SCHEDULER,
-                   choices=SCHEDULER_NAMES,
-                   help="default shard dispatch strategy (a spec pinning its "
-                   "scheduler axis to one value overrides this per study)")
     p.add_argument("--lease-ttl", type=float, default=30.0,
                    help="seconds a shard lease lives before the coordinator "
                    "requeues it (the crash-recovery clock)")
@@ -226,9 +221,9 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
                    help="backend axis: comma list of registry names "
                    "(e.g. closed_form,aspen,des,calibrated,learned)")
     p.add_argument("--scheduler", type=str, default=None,
-                   help="scheduler axis: comma list of dispatch strategies "
-                   "(static, work-stealing, size-aware); adds the simulated "
-                   "per-shard latency/steal columns for each strategy")
+                   help="scheduler axis: comma list of modeled dispatch "
+                   "strategies (static, work-stealing, size-aware); adds the "
+                   "simulated per-shard latency/steal columns for each")
     p.add_argument("--queue-policy", type=str, default=None,
                    help="queue-policy axis: comma list of annealer queue "
                    "disciplines (fifo, priority, round-robin); contended-"
@@ -533,7 +528,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace, distributed: bool = False) -> int:
     from .backends import available_backends
-    from .distributed.scheduler import DEFAULT_SCHEDULER
     from .service import StudyServer
     from .studies.executor import DEFAULT_SHARD_SIZE
 
@@ -547,7 +541,6 @@ def _cmd_serve(args: argparse.Namespace, distributed: bool = False) -> int:
         journal=args.journal,
         log=None if args.quiet else lambda line: print(line, file=sys.stderr, flush=True),
         distributed=distributed,
-        scheduler=getattr(args, "scheduler", DEFAULT_SCHEDULER),
         lease_ttl_s=getattr(args, "lease_ttl", 30.0),
     )
     # Flushed eagerly so wrappers (the CI smoke) can scrape the bound port
@@ -559,8 +552,7 @@ def _cmd_serve(args: argparse.Namespace, distributed: bool = False) -> int:
           flush=True)
     print(f"  queue: {args.queue_size} jobs, {args.job_workers} workers", flush=True)
     if distributed:
-        print(f"  dispatch: {server.coordinator.default_scheduler.name} scheduling, "
-              f"{server.coordinator.lease_ttl_s:g}s lease TTL", flush=True)
+        print(f"  lease TTL: {server.coordinator.lease_ttl_s:g}s", flush=True)
     if args.journal:
         print(f"  journal: {args.journal} "
               f"({server.manager.recovered_jobs} job(s) recovered)", flush=True)

@@ -9,17 +9,19 @@ those shards out:
 * :class:`~repro.distributed.coordinator.ShardCoordinator` — owns the
   pending/leased/done state of registered studies, hands out shard
   leases with deadlines (requeue-on-expiry: a killed worker never loses
-  a shard), and verifies pushed payloads against the shard's content
-  hash before acceptance.  Embedded in ``StudyServer`` (``cli
-  coordinate``) it speaks the existing HTTP protocol.
+  a shard) by one rule, largest modeled shard first, and verifies pushed
+  payloads against the shard's content hash before acceptance.
+  Embedded in ``StudyServer`` (``cli coordinate``) it speaks the
+  existing HTTP protocol.
 * :class:`~repro.distributed.worker.ShardWorker` — the pull loop (``cli
   worker --coordinator URL``): lease, evaluate via the same
   ``_run_shard`` the inline loop uses, push bytes + digest, honoring
   the ``worker-pull`` / ``worker-push`` / ``worker-death`` fault sites.
-* :mod:`~repro.distributed.scheduler` — the pluggable strategy protocol
-  (``static`` / ``work-stealing`` / ``size-aware``), driving both live
-  dispatch and the deterministic simulation behind the spec's
-  ``scheduler`` axis.
+* :mod:`~repro.distributed.scheduler` — the dispatch rule
+  (:func:`~repro.distributed.scheduler.largest_first`) and the modeled
+  strategies (``static`` / ``work-stealing`` / ``size-aware``) whose
+  deterministic simulation fills the columns of the spec's ``scheduler``
+  axis; the axis selects no live dispatch.
 
 The invariant everything here preserves: the artifact is a pure function
 of (spec, shard grid).  0 workers, 1 worker, N workers, a worker

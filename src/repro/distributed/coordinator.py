@@ -5,13 +5,14 @@ registered study: which shards are pending, which are leased out (and
 until when), which have landed.  Workers interact through three verbs —
 
 ``lease(worker_id)``
-    Hand the calling worker one shard descriptor, chosen by the study's
-    :class:`~repro.distributed.scheduler.Scheduler` strategy.  The lease
-    carries a deadline: a worker that never comes back (crash, SIGKILL,
-    network partition) simply lets the deadline pass and the shard is
-    *requeued* with its attempt number bumped — the coordinator-owned
-    analogue of the executor's parent-owned retry attempts, so fault
-    schedules converge across worker respawns.
+    Hand the calling worker one shard descriptor: the pending shard with
+    the largest modeled cost, ties to the lowest index
+    (:func:`~repro.distributed.scheduler.largest_first`, the one dispatch
+    rule).  The lease carries a deadline: a worker that never comes back
+    (crash, SIGKILL, network partition) simply lets the deadline pass and
+    the shard is *requeued* with its attempt number bumped — the
+    coordinator-owned analogue of the executor's parent-owned retry
+    attempts, so fault schedules converge across worker respawns.
 ``push(study_id, shard_index, data, digest, ...)``
     Deliver computed shard bytes.  The payload is verified before
     acceptance — recomputed sha256 against the worker's digest, byte
@@ -27,9 +28,9 @@ until when), which have landed.  Workers interact through three verbs —
 Each study's shard state lives in one
 :class:`~repro.studies.executor.ShardRun` — the same engine
 ``run_study`` runs on — and the coordinator keeps only lease state on
-top of it: the lease table, TTLs, worker slots, scheduler selection,
-payload verification and :class:`CoordinatorStats`.  ``lease`` takes
-from the engine's pending queue, ``push`` verifies and then lands
+top of it: the lease table, TTLs, the attached-worker set, the dispatch
+rule, payload verification and :class:`CoordinatorStats`.  ``lease``
+takes from the engine's pending queue, ``push`` verifies and then lands
 through the engine's landing path (table, the shared
 :class:`~repro.studies.cache.StudyCache`, progress), and every requeue —
 lease expiry, ``fail()``, a rejected push — charges the shard's one
@@ -77,13 +78,7 @@ from ..studies.cache import StudyCache, study_key
 from ..studies.executor import DEFAULT_SHARD_SIZE, ShardRun
 from ..studies.results import StudyResults, table_dtype
 from ..studies.spec import ScenarioSpec
-from .scheduler import (
-    DEFAULT_SCHEDULER,
-    Scheduler,
-    get_scheduler,
-    preferred_slot,
-    shard_costs,
-)
+from .scheduler import largest_first, shard_costs
 
 __all__ = ["ShardCoordinator", "CoordinatorStats", "DistProgress"]
 
@@ -103,7 +98,6 @@ class CoordinatorStats:
     """Dispatch telemetry — deliberately *outside* the artifact bytes."""
 
     leases_granted: int = 0
-    steals: int = 0               # leases dispatched off their static home slot
     requeues: int = 0             # shards put back in the queue (any path)
     worker_failures: int = 0      # cooperative fail() reports
     duplicate_pushes: int = 0     # idempotent re-accepts of landed shards
@@ -128,8 +122,6 @@ class _Lease:
 @dataclass
 class _Study:
     run: ShardRun          # the shard state: table, queue, ledger
-    scheduler: Scheduler
-    costs: list
     progress: "DistProgress | None"
     leased: dict = field(default_factory=dict)    # shard_index -> lease_id
 
@@ -143,11 +135,6 @@ class ShardCoordinator:
         Optional shared :class:`StudyCache`.  Registration pre-serves
         cached shards; accepted pushes are stored, so the cache remains
         the single store across topologies.
-    scheduler:
-        Default dispatch strategy (name or :class:`Scheduler`).  A study
-        whose spec pins the ``scheduler`` axis to one non-default value
-        is dispatched with *that* strategy instead — the axis means what
-        it says when the study actually runs distributed.
     lease_ttl_s:
         Lease lifetime.  An unexpired lease blocks re-dispatch of its
         shard; expiry requeues it with the attempt number bumped.
@@ -165,7 +152,6 @@ class ShardCoordinator:
     def __init__(
         self,
         cache: StudyCache | None = None,
-        scheduler: Scheduler | str = DEFAULT_SCHEDULER,
         lease_ttl_s: float = 30.0,
         max_requeues: int = 10,
         clock: Callable[[], float] = time.monotonic,
@@ -175,9 +161,6 @@ class ShardCoordinator:
         if max_requeues < 1:
             raise ValidationError(f"max_requeues must be >= 1, got {max_requeues}")
         self.cache = cache
-        self.default_scheduler = (
-            get_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-        )
         self.lease_ttl_s = float(lease_ttl_s)
         self.max_requeues = int(max_requeues)
         self.stats = CoordinatorStats()
@@ -185,7 +168,7 @@ class ShardCoordinator:
         self._lock = threading.RLock()
         self._studies: dict[str, _Study] = {}  # insertion order is the dispatch FIFO
         self._leases: dict[str, _Lease] = {}
-        self._workers: dict[str, int] = {}     # worker_id -> slot (arrival order)
+        self._workers: set[str] = set()        # every worker that ever leased
         self._lease_seq = 0
         self._closed = False
 
@@ -197,7 +180,6 @@ class ShardCoordinator:
         spec: ScenarioSpec,
         shard_size: int = DEFAULT_SHARD_SIZE,
         study_id: str | None = None,
-        scheduler: Scheduler | str | None = None,
         progress: DistProgress | None = None,
     ) -> str:
         """Enqueue a study's shard grid for dispatch; returns its id.
@@ -211,26 +193,18 @@ class ShardCoordinator:
         The cache pre-pass runs before the study becomes leasable.
         """
         study_id = study_key(spec, shard_size) if study_id is None else study_id
-        if scheduler is None:
-            axis = spec.axis_values("scheduler")
-            strategy = get_scheduler(axis[0]) if len(axis) == 1 else self.default_scheduler
-        elif isinstance(scheduler, str):
-            strategy = get_scheduler(scheduler)
-        else:
-            strategy = scheduler
+        costs = shard_costs(spec, shard_size)
         run = ShardRun(
             spec,
             shard_size,
             budget=self.max_requeues,
+            # The dispatch rule as the run's queue order, which a requeue
+            # keeps: the head of the queue is the largest pending shard.
+            order=sorted(range(len(costs)), key=largest_first(costs)),
             cache=self.cache,
             lock=self._lock,
         )
-        study = _Study(
-            run=run,
-            scheduler=strategy,
-            costs=shard_costs(spec, shard_size),
-            progress=progress,
-        )
+        study = _Study(run=run, progress=progress)
         run.progress = functools.partial(self._landed, study)
         # Refuse a duplicate before the pre-pass reports progress; the
         # check repeats under the lock because the pre-pass does not hold it.
@@ -290,6 +264,8 @@ class ShardCoordinator:
     def lease(self, worker_id: str) -> dict | None:
         """One shard descriptor for ``worker_id``, or None when idle.
 
+        The shard comes from the oldest registered study with pending
+        work, chosen by the one dispatch rule (:func:`largest_first`).
         The descriptor is self-describing — spec payload, shard_size,
         shard index, coordinator-owned attempt number — everything a
         worker needs to build the study's plan and run the shard.
@@ -300,15 +276,12 @@ class ShardCoordinator:
             self._expire()
             if self._closed:
                 return None
-            slot = self._workers.setdefault(worker_id, len(self._workers))
-            num_slots = len(self._workers)
+            self._workers.add(worker_id)
             for study_id, study in self._studies.items():
                 run = study.run
-                if run.error is not None or not run.pending:
+                k = run.take()
+                if k is None:
                     continue
-                k = study.scheduler.select(run.pending, slot, num_slots, study.costs)
-                run.pending.remove(k)
-                stolen = preferred_slot(k, run.total, num_slots) != slot
                 self._lease_seq += 1
                 lease = _Lease(
                     lease_id=f"lease-{self._lease_seq:08d}",
@@ -321,8 +294,6 @@ class ShardCoordinator:
                 study.leased[k] = lease.lease_id
                 self._leases[lease.lease_id] = lease
                 self.stats.leases_granted += 1
-                if stolen:
-                    self.stats.steals += 1
                 return {
                     "lease_id": lease.lease_id,
                     "study_id": study_id,
@@ -436,7 +407,6 @@ class ShardCoordinator:
                 "workers": len(self._workers),
                 "outstanding_leases": len(self._leases),
                 "studies_active": active,
-                "scheduler": self.default_scheduler.name,
                 **self.stats.as_dict(),
             }
 

@@ -1,13 +1,19 @@
-"""Pluggable shard-scheduling strategies and their deterministic model.
+"""Shard-dispatch strategies: the one live rule and the modeled axis.
 
-Two consumers share the same :class:`Scheduler` objects:
+The live :class:`~repro.distributed.coordinator.ShardCoordinator` has one
+dispatch rule, :func:`largest_first`: lease the pending shard with the
+largest modeled cost (:func:`shard_costs`), ties to the lowest index —
+longest-processing-time first (LPT).  On a one-backend grid every full
+shard costs the same, so it hands shards out in ascending index order,
+the inline loop's order.  The simulated makespans in ROADMAP.md (static
+vs self-scheduling vs LPT, 2-4 workers on three grids) are why this is
+the rule: LPT ties or wins on every one.
 
-* the live :class:`~repro.distributed.coordinator.ShardCoordinator`,
-  which asks the strategy which pending shard to lease to the worker
-  slot that just went idle;
-* the study executor, which fills the ``sched_latency_s`` /
-  ``sched_steals`` result columns by *simulating* the strategy over the
-  study's real shard grid (:func:`shard_schedule`).
+The :class:`Scheduler` objects below serve the spec's ``scheduler`` axis
+only.  The study executor fills the ``sched_latency_s`` /
+``sched_steals`` result columns by *simulating* the row's strategy over
+the study's real shard grid (:func:`shard_schedule`); no option selects
+a strategy for live dispatch.
 
 The simulation — not wall-clock measurement — is what keeps the
 topology-independence invariant intact: the columns are a pure function
@@ -22,29 +28,27 @@ or-parallel Prolog (PAPERS.md): the *relative* behavior of static
 partitioning vs self-scheduling vs LPT is what a study compares, not
 absolute seconds.
 
-Strategies
-----------
+Modeled strategies
+------------------
 ``static``
     Contiguous block ownership: shard ``k`` belongs to slot
     ``k * num_slots // num_shards``.  An idle slot takes its own lowest
     pending shard first and only crosses ownership (a *steal*) when its
-    block is drained — the fault-tolerance escape hatch that lets a
-    surviving worker finish a dead worker's block.
+    block is drained.
 ``work-stealing``
     Pure self-scheduling: every idle slot takes the globally lowest
     pending shard.  Any shard landing off its static home slot counts
     as a steal, so the steal column measures how far dispatch drifted
     from the static partition.
 ``size-aware``
-    Longest-processing-time-first: idle slots take the largest-cost
-    pending shard (ties to the lowest index).  Distinguishable from the
+    :func:`largest_first`, the live rule.  Distinguishable from the
     others only when shard costs vary — e.g. a swept ``backend`` axis
     mixing closed-form and DES shards.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -62,6 +66,7 @@ __all__ = [
     "ScheduleTrace",
     "Scheduler",
     "get_scheduler",
+    "largest_first",
     "preferred_slot",
     "shard_costs",
     "shard_schedule",
@@ -94,6 +99,12 @@ NOMINAL_BACKEND_COST = {
 MAX_SCHEDULER_NAME_LENGTH = 16
 
 
+def largest_first(costs: Sequence[float]) -> Callable[[int], tuple[float, int]]:
+    """The coordinator's dispatch rule (LPT) as a sort key over shard
+    indices: largest modeled cost first, ties to the lowest index."""
+    return lambda k: (-costs[k], k)
+
+
 def preferred_slot(shard_index: int, num_shards: int, num_slots: int) -> int:
     """The slot that statically owns ``shard_index``: balanced contiguous blocks."""
     if num_shards <= 0:
@@ -111,11 +122,11 @@ def preferred_slot(shard_index: int, num_shards: int, num_slots: int) -> int:
 class Scheduler(Protocol):
     """The strategy contract: pick the next shard for an idle slot.
 
-    ``select`` must be a pure function of its arguments — the coordinator
-    and the simulation both call it, and byte-stable artifacts depend on
-    the two agreeing.  ``pending`` is always a non-empty ascending
-    sequence of shard indices; ``costs`` has one modeled cost per shard
-    of the whole grid (not just pending ones).
+    ``select`` must be a pure function of its arguments — the simulation
+    behind the result columns calls it, and byte-stable artifacts depend
+    on it.  ``pending`` is always a non-empty ascending sequence of shard
+    indices; ``costs`` has one modeled cost per shard of the whole grid
+    (not just pending ones).
     """
 
     name: str
@@ -159,7 +170,7 @@ class SizeAwareScheduler:
     name = "size-aware"
 
     def select(self, pending, slot, num_slots, costs):
-        return max(pending, key=lambda k: (costs[k], -k))
+        return min(pending, key=largest_first(costs))
 
 
 SCHEDULERS: Registry[Scheduler] = Registry(

@@ -179,8 +179,8 @@ class ShardWorker:
         A :class:`~repro.distributed.coordinator.ShardCoordinator` or an
         :class:`HttpCoordinatorTransport` — anything with the three verbs.
     worker_id:
-        Identity reported to the coordinator (attribution + slot
-        assignment).  Defaults to ``worker-<pid>``.
+        Identity reported to the coordinator (attribution and the
+        attached-worker count).  Defaults to ``worker-<pid>``.
     faults:
         Optional :class:`FaultPlan`; defaults to the ``REPRO_FAULTS``
         environment hook, which is how a stock ``cli worker`` process is

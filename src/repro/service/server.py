@@ -39,7 +39,6 @@ from urllib.parse import parse_qs
 
 from .. import __version__
 from ..backends import DEFAULT_BACKEND, available_backends, capabilities
-from ..distributed.scheduler import DEFAULT_SCHEDULER
 from ..exceptions import PushRejected, UnknownStudy, ValidationError
 from ..faults import SITE_HTTP_CONNECTION, SITE_HTTP_SLOW, FaultPlan
 from ..studies import StudyCache
@@ -469,9 +468,9 @@ class StudyServer:
         in-process executor, with an inline drain guaranteeing
         liveness when no fleet is attached.  The artifact bytes are
         identical either way — that is the point.
-    scheduler, lease_ttl_s:
-        Coordinator dispatch strategy and lease lifetime (distributed
-        mode only); see :class:`~repro.distributed.ShardCoordinator`.
+    lease_ttl_s:
+        Coordinator lease lifetime (distributed mode only); see
+        :class:`~repro.distributed.ShardCoordinator`.
     log:
         Optional callable receiving one line per handled request; ``None``
         keeps the server silent (the test default).
@@ -491,7 +490,6 @@ class StudyServer:
         faults: FaultPlan | None = None,
         log=None,
         distributed: bool = False,
-        scheduler: str = DEFAULT_SCHEDULER,
         lease_ttl_s: float = 30.0,
     ) -> None:
         if isinstance(cache, (str, Path)):
@@ -505,11 +503,7 @@ class StudyServer:
         if distributed:
             from ..distributed import ShardCoordinator
 
-            self.coordinator = ShardCoordinator(
-                cache=cache,
-                scheduler=scheduler,
-                lease_ttl_s=lease_ttl_s,
-            )
+            self.coordinator = ShardCoordinator(cache=cache, lease_ttl_s=lease_ttl_s)
         else:
             self.coordinator = None
         self.manager = JobManager(

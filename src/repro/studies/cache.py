@@ -45,7 +45,9 @@ on the grid alone, so every later study of the grid — any display name —
 splices it instead of formatting its floats again.  ``run_study`` never
 writes it; :meth:`StudyResults.artifact_bytes
 <repro.studies.results.StudyResults.artifact_bytes>` does, on the first
-encode of a study that ran over the cache.  Grids of fewer than
+encode of a study whose every shard the cache served — a grid computed
+before.  A study that computed any shard gets no entry: with a fresh
+seed per study no later study would read it.  Grids of fewer than
 :data:`COLUMNS_ENTRY_MIN_POINTS` points get no entry: encoding them again
 is cheaper than a file.
 

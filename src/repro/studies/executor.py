@@ -342,6 +342,9 @@ class ShardRun:
         self.settled = threading.Event()
         self._published = 0
         self._rngs: dict[int, np.random.Generator] = {}
+        #: Whether the cache pre-pass served every shard: the grid was
+        #: computed before, so its columns entry is worth reading and writing.
+        self.all_cached = False
 
     @property
     def total(self) -> int:
@@ -432,6 +435,7 @@ class ShardRun:
                 self.progress(k, True, done, self.total, None)
             self._count_published()
         self.pending = missing
+        self.all_cached = not missing
 
     def drain(self, faults: FaultPlan | None) -> None:
         """The inline loop: run pending shards in-process until none is left.
@@ -464,10 +468,13 @@ class ShardRun:
 
     def results(self) -> StudyResults:
         """The run's table as :class:`StudyResults` of the plan's spec, with
-        the cache's columns entry for this grid when there is a cache."""
+        the cache's columns entry for this grid when the cache served every
+        shard.  A run that computed any shard gets none: its grid may never
+        be studied again (a fresh seed per study makes a fresh grid), and
+        writing the entry costs a file of the artifact's size."""
         plan = self.plan
         entry = None
-        if self.cache is not None:
+        if self.all_cached:
             entry = self.cache.columns_entry(plan.spec, plan.shard_size)
         return StudyResults(
             spec=plan.spec, table=self.table, fault_stats=self.stats, columns_entry=entry

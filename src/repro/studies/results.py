@@ -201,8 +201,9 @@ class StudyResults:
     artifact (the artifact intentionally cannot say how it was computed).
 
     ``columns_entry`` is where this grid's encoded ``"columns"`` object
-    lives in the :class:`~repro.studies.cache.StudyCache` the study ran
-    over (set by ``run_study(cache=)`` and the coordinator's ``wait``);
+    lives in the :class:`~repro.studies.cache.StudyCache` that served
+    every shard of the study (set by ``run_study(cache=)`` and the
+    coordinator's ``wait``; a study that computed a shard has none);
     :meth:`artifact_bytes` splices it, or encodes and stores it.  Like
     ``fault_stats`` it is not compared.
     """

@@ -102,6 +102,72 @@ class TestLeasing:
             coord.register_study(SPEC, shard_size=SHARD_SIZE)
 
 
+#: Two backends: shards 0-2 are closed-form points, 4-6 DES points, shard 3
+#: mixes both and shard 7 is one DES point, so modeled costs differ.
+MIXED = ScenarioSpec(
+    name="mixed",
+    axes={"lps": list(range(1, 10)), "accuracy": [0.9, 0.99],
+          "backend": ["closed_form", "des"]},
+)
+MIXED_SHARD_SIZE = 5  # 36 points -> 8 shards
+
+
+def lease_order(coord, workers):
+    """Shard indices leased by ``workers`` taking turns until none is left."""
+    order = []
+    while (lease := coord.lease(workers[len(order) % len(workers)])) is not None:
+        order.append(lease["shard_index"])
+    return order
+
+
+class TestDispatchRule:
+    """One rule: the pending shard with the largest modeled cost, ties to
+    the lowest index (LPT), whoever asks and whatever the spec pins."""
+
+    @pytest.mark.parametrize("workers", [["w0"], ["w0", "w1"]])
+    def test_one_backend_grid_leases_in_ascending_order(self, workers):
+        coord = make()
+        coord.register_study(SPEC, shard_size=SHARD_SIZE)
+        assert lease_order(coord, workers) == [0, 1, 2, 3]
+
+    def test_mixed_grid_leases_the_des_shards_first(self):
+        coord = make()
+        coord.register_study(MIXED, shard_size=MIXED_SHARD_SIZE)
+        assert lease_order(coord, ["w0", "w1"]) == [4, 5, 6, 3, 7, 0, 1, 2]
+
+    def test_a_requeued_shard_goes_back_to_its_place_in_the_rule(self):
+        coord = make()
+        coord.register_study(MIXED, shard_size=MIXED_SHARD_SIZE)
+        first = coord.lease("w0")
+        assert coord.lease("w1")["shard_index"] == 5
+        coord.fail(first["lease_id"], "worker exploded")
+        retry = coord.lease("w1")
+        assert (retry["shard_index"], retry["attempt"]) == (4, 1)
+        assert lease_order(coord, ["w0"]) == [6, 3, 7, 0, 1, 2]
+
+    def test_a_pinned_scheduler_axis_is_dispatched_by_the_same_rule(self):
+        pinned = ScenarioSpec(
+            name="pinned",
+            axes={**{k: list(v) for k, v in MIXED.axes.items()},
+                  "scheduler": ["work-stealing"]},
+        )
+        coord = make()
+        sid = coord.register_study(pinned, shard_size=MIXED_SHARD_SIZE)
+        order = lease_order(coord, ["w0"])
+        assert order == [4, 5, 6, 3, 7, 0, 1, 2]
+        for k in order:
+            data, digest = shard_bytes(pinned, k, MIXED_SHARD_SIZE)
+            coord.push(sid, k, data, digest, worker_id="w0")
+        results = coord.wait(sid, timeout=5.0)
+        local = run_study(pinned, shard_size=MIXED_SHARD_SIZE)
+        assert results.artifact_bytes() == local.artifact_bytes()
+        # The axis still models its own strategy in the sched_* columns.
+        static = run_study(MIXED, shard_size=MIXED_SHARD_SIZE)
+        assert results.column("sched_latency_s").tolist() != (
+            static.column("sched_latency_s").tolist()
+        )
+
+
 class TestLeaseExpiry:
     def test_expired_lease_requeues_with_bumped_attempt(self):
         clock = FakeClock()
@@ -392,6 +458,9 @@ class TestInlineAndCache:
         coord = make(cache=cache)
         sid = coord.register_study(grid, shard_size=256)
         coord.drain_inline(sid)
+        assert coord.wait(sid).columns_entry is None  # computed here: no entry
+        # The grid again: the pre-pass serves every shard, so the entry rides.
+        sid = coord.register_study(grid, shard_size=256)
         coordinated = coord.wait(sid)
         entry = coordinated.columns_entry
         assert entry == cache.columns_entry(grid, 256)
@@ -459,12 +528,16 @@ class TestInlineAndCache:
         coord.register_study(SPEC, shard_size=SHARD_SIZE)
         coord.lease("w0")
         coord.lease("w1")
+        coord.lease("w0")
         health = coord.health()
         assert health["workers"] == 2
-        assert health["outstanding_leases"] == 2
+        assert health["outstanding_leases"] == 3
         assert health["studies_active"] == 1
-        assert health["leases_granted"] == 2
-        assert health["scheduler"] == "static"
+        assert health["leases_granted"] == 3
+        for gauge in ("requeues", "rejected_pushes", "inline_shards"):
+            assert health[gauge] == 0
+        # One dispatch rule: no strategy to report, no static home to steal from.
+        assert "scheduler" not in health and "steals" not in health
 
 
 class TestLifecycle:

@@ -2,9 +2,10 @@
 
 The acceptance contract of the distributed subsystem — a study artifact
 is a pure function of (spec, shard grid), so coordinator/worker runs of
-any fleet size, with any scheduling strategy, through any injected fault
-(worker death, transport failures, evaluation errors) must reproduce the
-local inline ``run_study`` byte for byte.
+any fleet size, through any injected fault (worker death, transport
+failures, evaluation errors) must reproduce the local inline
+``run_study`` byte for byte.  Dispatch has one rule (largest modeled
+shard first), so no strategy varies with the topology.
 """
 
 import sys
@@ -76,18 +77,14 @@ class PauseCappedClock:
             return self._now
 
 
-def run_distributed(
-    num_workers, scheduler="static", worker_plans=None, spec=SPEC, progress=None
-):
+def run_distributed(num_workers, worker_plans=None, spec=SPEC, progress=None):
     """One coordinated run with ``num_workers`` in-process worker threads.
 
     ``wait`` applies the stall rule (inline drain after 1 s without a
     lease, a landing or a new worker), which the attribution assertions
     must not see; the coordinator runs on a :class:`PauseCappedClock` so
     a host pause cannot trip it."""
-    coord = ShardCoordinator(
-        scheduler=scheduler, lease_ttl_s=0.2, clock=PauseCappedClock()
-    )
+    coord = ShardCoordinator(lease_ttl_s=0.2, clock=PauseCappedClock())
     sid = coord.register_study(spec, shard_size=SHARD_SIZE, progress=progress)
     if num_workers == 0:
         coord.drain_inline(sid, faults=NO_FAULTS)
@@ -114,16 +111,10 @@ class TestTopologyByteIdentity:
         artifact, _, _ = run_distributed(num_workers)
         assert artifact == reference_bytes
 
-    @pytest.mark.parametrize("scheduler", ["work-stealing", "size-aware"])
-    def test_dispatch_strategy_is_invisible_in_the_bytes(
-        self, scheduler, reference_bytes
-    ):
-        artifact, _, _ = run_distributed(3, scheduler=scheduler)
-        assert artifact == reference_bytes
-
     def test_scheduler_axis_changes_bytes_but_not_topology(self):
-        # The axis is real data: different strategy, different sched
-        # columns.  But each strategy's artifact is still topology-free.
+        # The axis is real data: a different modeled strategy, different
+        # sched columns.  Dispatch ignores it, and the artifact stays
+        # topology-free.
         spec = ScenarioSpec(
             name="axis",
             axes={**{k: list(v) for k, v in SPEC.axes.items()},

@@ -133,8 +133,8 @@ class TestCommittedArtifact:
 
 @pytest.mark.perf
 def test_columns_entry_splice_beats_the_reference_encoder(tmp_path):
-    """A cache-warm study's ``artifact_bytes()`` splices its grid's columns
-    entry; the floor is >= 5x over the reference encoder
+    """A cache-served study's ``artifact_bytes()`` splices its grid's
+    columns entry; the floor is >= 5x over the reference encoder
     (``canonical_line(to_dict())``).  Both are timed in this process,
     interleaved pair by pair, on a study the size of perfbench's grid_warm
     (6,100 points, shard size 250), so the ratio needs no recorded
@@ -153,7 +153,9 @@ def test_columns_entry_splice_beats_the_reference_encoder(tmp_path):
         name="splice-floor",
         seed=7,
     )
-    results = run_study(spec, shard_size=250, cache=StudyCache(tmp_path / "cache"))
+    cache = StudyCache(tmp_path / "cache")
+    run_study(spec, shard_size=250, cache=cache)  # computes and stores the shards
+    results = run_study(spec, shard_size=250, cache=cache)  # served: carries the entry
     reference = canonical_line(results.to_dict()).encode("utf-8")
     assert results.artifact_bytes() == reference  # encodes and stores the entry
     ratios = []
@@ -166,6 +168,37 @@ def test_columns_entry_splice_beats_the_reference_encoder(tmp_path):
         assert spliced == reference
         ratios.append((ended - middle) / (middle - started))
     assert statistics.median(ratios) >= 5.0, sorted(ratios)
+
+
+@pytest.mark.perf
+def test_lease_path_costs_at_most_2_5x_the_inline_loop():
+    """The ``study_distributed`` workload (one in-process worker,
+    ``poll_s=0``: every shard leased, evaluated, hashed, pushed and
+    verified) against an inline ``run_study`` of the same spec, timed
+    interleaved pair by pair in this process.  The floor is a median
+    ratio of at most 2.5x; both runs must give the same artifact.
+    """
+    from repro.studies import ScenarioSpec, run_study
+
+    spec = ScenarioSpec(
+        axes={
+            "lps": list(range(1, 2501)),
+            "accuracy": [0.9, 0.99],
+            "embedding_mode": ["online", "offline"],
+        },
+        name="perf-dist",
+    )
+    shard_size = 250
+    ratios = []
+    for _ in range(11):
+        started = time.perf_counter()
+        leased = perf_harness.distributed_study(spec, shard_size)
+        middle = time.perf_counter()
+        inline = run_study(spec, shard_size=shard_size)
+        ended = time.perf_counter()
+        assert leased.artifact_bytes() == inline.artifact_bytes()
+        ratios.append((middle - started) / (ended - middle))
+    assert statistics.median(ratios) <= 2.5, sorted(ratios)
 
 
 @pytest.mark.perf

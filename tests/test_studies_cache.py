@@ -225,12 +225,19 @@ class TestCliCacheFlag:
             "--embedding-mode", "online,offline", "--shard-size", "256",
             "--name", "cli-columns", "--no-summary", "--cache", str(tmp_path / "cache"),
         ]
+
+        def entries():
+            return list((tmp_path / "cache").glob("*/*.columns"))
+
         assert main(argv + ["--out", str(tmp_path / "a.json")]) == 0
-        assert len(list((tmp_path / "cache").glob("*/*.columns"))) == 1
+        assert not entries()  # a cold run computed its shards: no entry
         assert main(argv + ["--out", str(tmp_path / "b.json")]) == 0
+        assert len(entries()) == 1  # the cache-served run stores it
+        assert main(argv + ["--out", str(tmp_path / "c.json")]) == 0  # and splices it
         capsys.readouterr()
         artifact = (tmp_path / "a.json").read_bytes()
         assert (tmp_path / "b.json").read_bytes() == artifact
+        assert (tmp_path / "c.json").read_bytes() == artifact
         assert StudyResults.load(tmp_path / "a.json").to_json().encode() == artifact
 
     def test_study_cache_flag_roundtrip(self, tmp_path, capsys):
@@ -325,16 +332,31 @@ class TestKeySplice:
 # --------------------------------------------------------------------- #
 # The columns entry: the artifact's encoded "columns" object per grid
 # --------------------------------------------------------------------- #
+def cache_served(spec, shard_size, cache):
+    """``spec``'s results once ``cache`` holds its grid: a cold run stores
+    every shard, and the run returned is served by the cache alone."""
+    run_study(spec, shard_size=shard_size, cache=cache)
+    return run_study(spec, shard_size=shard_size, cache=cache)
+
+
 class TestColumnsEntry:
     def test_small_grids_get_no_entry(self, spec, cache):
         assert spec.num_points < COLUMNS_ENTRY_MIN_POINTS
         assert cache.columns_entry(spec, 4) is None
-        results = run_study(spec, shard_size=4, cache=cache)
+        results = cache_served(spec, 4, cache)
         assert results.columns_entry is None
         assert results.artifact_bytes() == results.to_json().encode()
 
-    def test_run_study_never_writes_it_and_the_first_encode_does(self, grid, cache):
+    def test_a_cold_study_writes_no_entry(self, grid, cache):
+        # A study that computed its shards may be the only one of its grid
+        # (a fresh seed per study): an entry for it would never be read.
         results = run_study(grid, shard_size=256, cache=cache)
+        assert results.columns_entry is None
+        assert results.artifact_bytes() == results.to_json().encode()
+        assert not list(cache.root.glob("*/*.columns"))
+
+    def test_run_study_never_writes_it_and_the_first_encode_does(self, grid, cache):
+        results = cache_served(grid, 256, cache)
         entry = results.columns_entry
         assert entry == cache.columns_entry(grid, 256)
         assert not entry.path.exists()
@@ -350,14 +372,14 @@ class TestColumnsEntry:
         assert warm.artifact_bytes() == warm.to_json().encode()
 
     def test_a_present_entry_is_spliced_not_reencoded(self, grid, cache):
-        results = run_study(grid, shard_size=256, cache=cache)
+        results = cache_served(grid, 256, cache)
         planted = b'{"planted":[1]}'
         results.columns_entry.store(planted)
         assert results.artifact_bytes().startswith(b'{"columns":{"planted":[1]},')
 
     @pytest.mark.parametrize("cut", ["tear", "half", "one-short"])
     def test_torn_or_short_entry_is_a_miss_that_reencodes(self, grid, cache, cut):
-        results = run_study(grid, shard_size=256, cache=cache)
+        results = cache_served(grid, 256, cache)
         reference = results.artifact_bytes()
         path = results.columns_entry.path
         whole = path.read_bytes()
@@ -368,7 +390,7 @@ class TestColumnsEntry:
         assert path.read_bytes() == whole  # rewritten whole
 
     def test_grown_or_unreadable_entry_is_a_miss(self, grid, cache):
-        results = run_study(grid, shard_size=256, cache=cache)
+        results = cache_served(grid, 256, cache)
         reference = results.artifact_bytes()
         path = results.columns_entry.path
         path.write_bytes(path.read_bytes() + b"}")
@@ -390,7 +412,7 @@ class TestColumnsEntry:
         assert older.path != current.path
         older.store(b'{"stale":[]}')
         monkeypatch.undo()
-        results = run_study(grid, shard_size=256, cache=cache)
+        results = cache_served(grid, 256, cache)
         assert results.columns_entry == current
         assert results.artifact_bytes() == results.to_json().encode()
         assert older.path.read_bytes().endswith(b'{"stale":[]}')
